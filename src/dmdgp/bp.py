@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bitstrings import bits_to_int, check_bits
-from .geometry import Conformation, InternalCoords, b_matrix, penalty
+from .bitstrings import bits_to_int, check_bits, int_to_bits
+from .geometry import Conformation, InternalCoords, penalty, sign_tree
 from .instance import DmdgpInstance
 
 #: Default per-edge pruning tolerance (angstroms).  Linear distance
@@ -125,46 +123,14 @@ def branch_and_prune(
         raise ValueError("pruning tolerance must be positive")
     if sorted(branch_order) != [0, 1]:
         raise ValueError("branch_order must be a permutation of (0, 1)")
-    n = inst.n
-    prune_edges: dict[int, list[tuple[int, float]]] = {i: [] for i in range(4, n + 1)}
-    for u, v, d in inst.long_range_edges():
-        prune_edges[v].append((u, d))
-
-    q3 = b_matrix(1, internal) @ b_matrix(2, internal) @ b_matrix(3, internal)
-    points = np.zeros((n, 3))
-    points[1] = b_matrix(2, internal)[:3, 3]
-    points[2] = q3[:3, 3]
-
     found: list[Solution] = []
-    word = [""] * (n - 3)
-
-    def descend(level: int, q: np.ndarray) -> bool:
-        """Returns True to stop the whole search (mode="first")."""
-        if level > n:
-            bits = "".join(word)
-            conf = Conformation(points.copy())
-            g = penalty(conf, inst)
-            if g < penalty_tol:
-                found.append(Solution(bits, conf, g))
-                return mode == "first"
-            return False
-        for bit in branch_order:
-            q_next = q @ b_matrix(level, internal, 1 if bit == 0 else -1)
-            x = q_next[:3, 3]
-            ok = True
-            for j, d in prune_edges[level]:
-                if abs(float(np.linalg.norm(x - points[j - 1])) - d) > tol:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            points[level - 1] = x
-            word[level - 4] = str(bit)
-            if descend(level + 1, q_next):
-                return True
-        return False
-
-    descend(4, q3)
+    for index, points in sign_tree(internal, inst.long_range_edges(), tol, branch_order):
+        conf = Conformation(points)
+        g = penalty(conf, inst)
+        if g < penalty_tol:
+            found.append(Solution(int_to_bits(index, inst.n - 3), conf, g))
+            if mode == "first":
+                break
     if not found:
         raise NoSolutionError(
             "branch-and-prune found no solution (inconsistent instance or tol too tight)"

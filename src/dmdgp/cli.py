@@ -8,7 +8,8 @@ Subcommands:
     oracle-scan  tabulate penalty, normalized value, and oracle bit per candidate
 
 Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error,
-65 data format error.
+65 data format error or an instance outside supported limits (search
+space over the scan cap, every candidate marked).
 """
 
 from __future__ import annotations
@@ -225,11 +226,10 @@ def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.n < 4:
-        raise CliError(EXIT_USAGE, f"--n must be at least 4, got {args.n}")
-    if not 0.0 <= args.long_edge_prob <= 1.0:
-        raise CliError(EXIT_USAGE, "--long-edge-prob must lie in [0, 1]")
-    inst, ground = generate(args.n, args.seed, args.long_edge_prob)
+    try:
+        inst, ground = generate(args.n, args.seed, args.long_edge_prob)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
     _write_text(args.out, serialize_instance(inst, ground))
     print(f"wrote {args.out}: n={inst.n}, edges={len(inst.edges)}, "
           f"ground bits={ground.bits}")
@@ -302,6 +302,8 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     if not marked:
         raise bp.NoSolutionError("oracle marks no candidate")
     N = 1 << (inst.n - 3)
+    if len(marked) == N:
+        raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
     plan = grover.iteration_count(N, len(marked), mode=iter_mode)
     k = plan.k if iters is None else iters
     ideal = grover.grover_distribution(N, marked, k)
@@ -448,30 +450,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_scan(args: argparse.Namespace) -> int:
-    if args.delta <= 0:
-        raise CliError(EXIT_USAGE, f"--delta must be positive, got {args.delta}")
-    if not 0 < args.epsilon < 1:
-        raise CliError(EXIT_USAGE, f"--epsilon must lie in (0, 1), got {args.epsilon}")
-    if args.delta + args.epsilon >= 1:
-        raise CliError(
-            EXIT_USAGE,
-            f"hypothesis violated: delta + epsilon = {args.delta + args.epsilon} must be < 1",
-        )
     inst, _ = _load_instance(args.instance)
-    params = oracle.oracle_params(inst.n, args.delta, args.epsilon)
-    internal = geometry.extract_internal(inst)
+    try:
+        params = oracle.oracle_params(inst.n, args.delta, args.epsilon)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
+    rows = oracle.scan(inst, geometry.extract_internal(inst))
     n_bits = inst.n - 3
     print(f"n={inst.n}, delta={params.delta:g}, epsilon={params.epsilon:g}, "
           f"p1={params.p1:.0f}, p2={params.p2:.4f}")
     print("k     bits      g(h(k))        g/p1           (g/p1)^(1/p2)  f")
     n_marked = 0
-    for k in range(1 << n_bits):
-        bits = int_to_bits(k, n_bits)
-        g = geometry.penalty(geometry.realize(internal, bits), inst)
+    for k, g in rows:
         value = oracle.oracle_value(params, g)
         f = oracle.oracle_bit(params, g)
         n_marked += f
-        print(f"{k:<5d} {bits:8s}  {g:<13.6e}  {g / params.p1:<13.6e}  "
+        print(f"{k:<5d} {int_to_bits(k, n_bits):8s}  {g:<13.6e}  {g / params.p1:<13.6e}  "
               f"{value:<13.6e}  {f}")
     print(f"marked: {n_marked} of {1 << n_bits}")
     return EXIT_OK
@@ -535,9 +529,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, oracle.ScanCapExceeded) as exc:
         print(f"dmdgp: error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_DATA
 
 
 def console_main() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -184,6 +184,45 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
         q = q @ b_matrix(i, internal, sign)
         points[i - 1] = q[:3, 3]
     return Conformation(points)
+
+
+def sign_tree(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
+              tol: float = 0.0, order: tuple[int, int] = (0, 1)
+              ) -> Iterator[tuple[int, np.ndarray]]:
+    """Depth-first walk of the torsion-sign tree on an explicit stack.
+
+    Yields (index, points) for each leaf that passes every prune edge
+    (u, v, d): |x_u - x_v| within `tol` of d.  Children come in `order`,
+    so (0, 1) yields ascending indices.  Transforms are the running
+    products Q_{i-1} B_i of `realize`, so a leaf's points equal
+    `realize(internal, int_to_bits(index, n - 3)).points` bit for bit.
+    `points` is a read-only view that the walk overwrites.
+    """
+    n = internal.n
+    cuts: dict[int, list[tuple[int, float]]] = {}
+    for u, v, d in prune:
+        cuts.setdefault(v, []).append((u, d))
+    branches = {i: (b_matrix(i, internal, 1), b_matrix(i, internal, -1))
+                for i in range(4, n + 1)}
+    points = np.zeros((n, 3))
+    leaf = points.view()
+    leaf.flags.writeable = False
+    q = np.eye(4) @ b_matrix(2, internal)
+    points[1] = q[:3, 3]
+    # (vertex placed last, sign-word prefix, its transform Q)
+    stack = [(3, 0, q @ b_matrix(3, internal))]
+    while stack:
+        i, prefix, q = stack.pop()
+        points[i - 1] = q[:3, 3]
+        if i == n:
+            yield prefix, leaf
+            continue
+        for bit in reversed(order):
+            q_next = q @ branches[i + 1][bit]
+            x = q_next[:3, 3]
+            if not any(abs(float(np.linalg.norm(x - points[u - 1])) - d) > tol
+                       for u, d in cuts.get(i + 1, ())):
+                stack.append((i + 1, prefix << 1 | bit, q_next))
 
 
 def penalty(conf: Conformation, inst: "DmdgpInstance") -> float:

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import geometry
 from .bitstrings import check_bits
 from .geometry import Conformation, InternalCoords, quad_end_distance, realize
 
@@ -398,8 +397,3 @@ def demo7_edges() -> tuple[tuple[int, int], ...]:
 def demo7_instance() -> tuple[DmdgpInstance, GroundTruth]:
     """The bundled demo instance (deterministic)."""
     return generate_from_topology(demo7_edges(), DEMO7_BITS, DEMO7_SEED)
-
-
-def ground_truth_penalty(inst: DmdgpInstance, ground: GroundTruth) -> float:
-    """Penalty of the stored answer on its own instance."""
-    return geometry.penalty(ground.conformation, inst)

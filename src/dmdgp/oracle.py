@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitstrings import int_to_bits
-from .geometry import InternalCoords, penalty, realize
+from .geometry import Conformation, InternalCoords, penalty, realize, sign_tree
 from .instance import DmdgpInstance
 
 DEFAULT_DELTA = 1e-4
@@ -85,14 +86,19 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     return oracle_bit(params, penalty(realize(internal, bits), inst))
 
 
+def scan(inst: DmdgpInstance, internal: InternalCoords,
+         scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, float]]:
+    """(k, g(h(k))) for every candidate k, ascending, from one sign-tree
+    walk; raises ScanCapExceeded before any work when 2^(n-3) > scan_cap."""
+    size = 1 << (inst.n - 3)
+    if size > scan_cap:
+        raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
+    return ((k, penalty(Conformation(points), inst)) for k, points in sign_tree(internal))
+
+
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,
                params: OracleParams, scan_cap: int = DEFAULT_SCAN_CAP) -> tuple[int, ...]:
     """All candidate indices with f(k) = 1, ascending."""
     if params.n != inst.n:
         raise ValueError(f"params built for n={params.n}, instance has n={inst.n}")
-    size = 1 << (inst.n - 3)
-    if size > scan_cap:
-        raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
-    return tuple(
-        k for k in range(size) if oracle_eval(inst, internal, params, k) == 1
-    )
+    return tuple(k for k, g in scan(inst, internal, scan_cap) if oracle_bit(params, g) == 1)

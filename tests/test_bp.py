@@ -141,6 +141,12 @@ class TestBranchAndPrune:
         sols = branch_and_prune(inst, extract_internal(inst))
         assert sols.bit_strings() == ["0", "1"]
 
+    def test_deep_chain_needs_no_recursion(self):
+        # one tree level per vertex: a recursive search overflows Python's stack here
+        inst, gt = generate(1100, 1, 0.5)
+        sols = branch_and_prune(inst, extract_internal(inst))
+        assert gt.bits in sols.bit_strings()
+
 
 def exhaustive_solution_scan(inst, tol=1e-4):
     """Independent oracle: all sign words whose realization fits the edges."""

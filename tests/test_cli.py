@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dmdgp import data_file, demo7_instance, serialize_instance
+from dmdgp import data_file, demo7_instance, generate, serialize_instance
 from dmdgp.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -21,6 +21,14 @@ from dmdgp.instance import ParseError
 def demo_path(tmp_path):
     inst, gt = demo7_instance()
     path = tmp_path / "demo.json"
+    path.write_text(serialize_instance(inst, gt), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def n30_path(tmp_path):
+    path = tmp_path / "n30.json"
+    inst, gt = generate(30, 1, 0.5)
     path.write_text(serialize_instance(inst, gt), encoding="utf-8")
     return str(path)
 
@@ -46,6 +54,14 @@ class TestGen:
         code = main(["gen", "--n", "3", "--seed", "0", "--out",
                      str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
+
+    def test_edge_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
+        code = main(["gen", "--n", "5", "--long-edge-prob", "1.5", "--out",
+                     str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "dmdgp: error: long_edge_prob must be in [0, 1], got 1.5\n"
+        )
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         code = main(["gen", "--n", "5", "--seed", "0", "--out",
@@ -126,6 +142,26 @@ class TestGrover:
         assert main(["grover", demo_path, "--iters", "-2"]) == EXIT_USAGE
         assert main(["grover", demo_path, "--iters", "lots"]) == EXIT_USAGE
 
+    def test_over_scan_cap_is_data_error(self, n30_path, capsys):
+        assert main(["grover", n30_path]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "dmdgp: error: search space 134217728 exceeds scan cap 16777216"
+        ]
+
+    def test_every_candidate_marked_is_data_error(self, tmp_path, capsys):
+        path = str(tmp_path / "c.json")
+        assert main(["gen", "--n", "6", "--seed", "2", "--long-edge-prob", "0",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["grover", path]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "dmdgp: error: oracle marks all 8 candidates: nothing to amplify"
+        ]
+
 
 class TestMetrics:
     def test_published_pair(self, capsys):
@@ -179,6 +215,14 @@ class TestOracleScan:
     def test_hypothesis_violation_is_usage_error(self, demo_path):
         assert main(["oracle-scan", demo_path, "--delta", "0.6",
                      "--epsilon", "0.5"]) == EXIT_USAGE
+
+    def test_over_scan_cap_prints_no_rows(self, n30_path, capsys):
+        assert main(["oracle-scan", n30_path]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "dmdgp: error: search space 134217728 exceeds scan cap 16777216"
+        ]
 
 
 class TestDistributionCsv:

@@ -12,7 +12,8 @@ from dmdgp import (
     penalty,
     realize,
 )
-from dmdgp.geometry import _torsion_cosine, quad_end_distance
+from dmdgp.bitstrings import int_to_bits
+from dmdgp.geometry import _torsion_cosine, quad_end_distance, sign_tree
 from dmdgp.instance import DmdgpInstance, random_internal_coords
 
 
@@ -110,6 +111,30 @@ class TestRealize:
     def test_wrong_bit_width_rejected(self):
         with pytest.raises(ValueError):
             realize(chain(6, 1), "01")
+
+
+class TestSignTree:
+    def test_unpruned_walk_visits_every_leaf_in_order(self):
+        ic = chain(7, 4)
+        leaves = [(k, pts.copy()) for k, pts in sign_tree(ic)]
+        assert [k for k, _ in leaves] == list(range(16))
+        for k, pts in leaves:
+            assert np.array_equal(pts, realize(ic, int_to_bits(k, 4)).points)
+
+    def test_reversed_order_walks_descending(self):
+        assert [k for k, _ in sign_tree(chain(6, 1), order=(1, 0))] == [7, 6, 5, 4, 3, 2, 1, 0]
+
+    def test_prune_edge_cuts_subtrees(self):
+        inst, gt = generate(8, 3, 1.0)
+        ic = extract_internal(inst)
+        kept = [k for k, _ in sign_tree(ic, inst.long_range_edges(), 1e-6)]
+        assert int(gt.bits, 2) in kept
+        assert len(kept) < 1 << 5
+
+    def test_leaf_points_are_read_only(self):
+        _, pts = next(sign_tree(chain()))
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
 
 
 class TestExtract:
