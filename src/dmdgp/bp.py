@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitstrings import bits_to_int, check_bits, int_to_bits
-from .geometry import Conformation, InternalCoords, penalty, sign_tree
+from .bitstrings import bits_to_int, int_to_bits
+from .geometry import Conformation, InternalCoords, edge_arrays, penalties, sign_tree
 from .instance import DmdgpInstance
 
 #: Default per-edge pruning tolerance (angstroms).  Linear distance
@@ -74,12 +74,19 @@ class SolutionSet:
 
 
 def symmetry_set(inst: DmdgpInstance) -> SymmetrySet:
-    """Evaluate the defining set comprehension exactly."""
-    members = [
-        v
-        for v in range(4, inst.n + 1)
-        if not any(u + 3 < v <= w for (u, w) in inst.edges)
-    ]
+    """Evaluate the defining set comprehension in O(n + |E|): each edge
+    {u, w} with w > u + 3 covers the vertex range u+4..w, marked on a
+    difference array, and S is the uncovered part of 4..n."""
+    starts = [0] * (inst.n + 2)
+    for u, w in inst.edges:
+        if w > u + 3:
+            starts[u + 4] += 1
+            starts[w + 1] -= 1
+    members, covering = [], 0
+    for v in range(4, inst.n + 1):
+        covering += starts[v]
+        if covering == 0:
+            members.append(v)
     return SymmetrySet(tuple(members))
 
 
@@ -90,17 +97,13 @@ def expand_symmetry(bits: str, sym: SymmetrySet) -> set[str]:
     The flips commute, so the orbit over all subsets of S has exactly
     2^|S| distinct members (including the input).
     """
-    check_bits(bits, len(bits))
-    width = len(bits)
-    out = set()
-    for mask in range(1 << len(sym.vertices)):
-        chosen = [v for b, v in enumerate(sym.vertices) if mask >> b & 1]
-        word = []
-        for pos in range(width):
-            parity = sum(1 for v in chosen if v <= pos + 4) & 1
-            word.append(bits[pos] if parity == 0 else ("1" if bits[pos] == "0" else "0"))
-        out.add("".join(word))
-    return out
+    k, width = bits_to_int(bits), len(bits)
+    flips = [0]
+    for v in sym.vertices:
+        # positions of vertices >= v: all but the leading v - 4
+        suffix = (1 << width) - 1 >> max(v - 4, 0)
+        flips += [f ^ suffix for f in flips]
+    return {int_to_bits(k ^ f, width) for f in flips}
 
 
 def branch_and_prune(
@@ -123,12 +126,12 @@ def branch_and_prune(
         raise ValueError("pruning tolerance must be positive")
     if sorted(branch_order) != [0, 1]:
         raise ValueError("branch_order must be a permutation of (0, 1)")
+    edges = edge_arrays(inst)
     found: list[Solution] = []
     for index, points in sign_tree(internal, inst.long_range_edges(), tol, branch_order):
-        conf = Conformation(points)
-        g = penalty(conf, inst)
+        g = float(penalties(points[None], edges)[0])
         if g < penalty_tol:
-            found.append(Solution(int_to_bits(index, inst.n - 3), conf, g))
+            found.append(Solution(int_to_bits(index, inst.n - 3), Conformation(points), g))
             if mode == "first":
                 break
     if not found:

@@ -34,6 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: instead of clamped.
 COS_TOLERANCE = 1e-9
 
+#: Sign levels `leaf_blocks` doubles as array ops, so a block holds at
+#: most 2^BLOCK_LEVELS leaves and a scan's memory does not grow with the
+#: search space.  Blocks of 2^6..2^12 leaves scan n=12..14 in about the
+#: same time; 2^8 keeps a scan's allocations near 1 MiB (4 MiB at 2^10).
+BLOCK_LEVELS = 8
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Own a read-only copy, so values are safe to share across threads."""
@@ -186,6 +192,43 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
     return Conformation(points)
 
 
+def _branches(internal: InternalCoords) -> dict[int, np.ndarray]:
+    """(B_i^+, B_i^-) stacked as a (2, 4, 4) array, per branching vertex i."""
+    return {i: np.stack((b_matrix(i, internal, 1), b_matrix(i, internal, -1)))
+            for i in range(4, internal.n + 1)}
+
+
+def _walk(internal: InternalCoords, branches: dict[int, np.ndarray], depth: int,
+          cuts: dict[int, list[tuple[int, float]]], tol: float = 0.0,
+          order: tuple[int, int] = (0, 1)
+          ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Depth-first walk of the sign tree down to vertex `depth`, on an
+    explicit stack, cutting children that miss a prune edge of `cuts`
+    (vertex -> [(u, d)]) by more than `tol`.  Yields (prefix, points, Q)
+    per surviving node at that depth: its sign-word prefix, a read-only
+    view of x_1..x_n that the walk overwrites (rows past `depth` are
+    stale), and its running product."""
+    points = np.zeros((internal.n, 3))
+    view = points.view()
+    view.flags.writeable = False
+    q = np.eye(4) @ b_matrix(2, internal)
+    points[1] = q[:3, 3]
+    # (vertex placed last, sign-word prefix, its transform Q)
+    stack = [(3, 0, q @ b_matrix(3, internal))]
+    while stack:
+        i, prefix, q = stack.pop()
+        points[i - 1] = q[:3, 3]
+        if i == depth:
+            yield prefix, view, q
+            continue
+        for bit in reversed(order):
+            q_next = q @ branches[i + 1][bit]
+            x = q_next[:3, 3]
+            if not any(abs(float(np.linalg.norm(x - points[u - 1])) - d) > tol
+                       for u, d in cuts.get(i + 1, ())):
+                stack.append((i + 1, prefix << 1 | bit, q_next))
+
+
 def sign_tree(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
               tol: float = 0.0, order: tuple[int, int] = (0, 1)
               ) -> Iterator[tuple[int, np.ndarray]]:
@@ -198,45 +241,60 @@ def sign_tree(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] 
     `realize(internal, int_to_bits(index, n - 3)).points` bit for bit.
     `points` is a read-only view that the walk overwrites.
     """
-    n = internal.n
     cuts: dict[int, list[tuple[int, float]]] = {}
     for u, v, d in prune:
         cuts.setdefault(v, []).append((u, d))
-    branches = {i: (b_matrix(i, internal, 1), b_matrix(i, internal, -1))
-                for i in range(4, n + 1)}
-    points = np.zeros((n, 3))
-    leaf = points.view()
-    leaf.flags.writeable = False
-    q = np.eye(4) @ b_matrix(2, internal)
-    points[1] = q[:3, 3]
-    # (vertex placed last, sign-word prefix, its transform Q)
-    stack = [(3, 0, q @ b_matrix(3, internal))]
-    while stack:
-        i, prefix, q = stack.pop()
-        points[i - 1] = q[:3, 3]
-        if i == n:
-            yield prefix, leaf
-            continue
-        for bit in reversed(order):
-            q_next = q @ branches[i + 1][bit]
-            x = q_next[:3, 3]
-            if not any(abs(float(np.linalg.norm(x - points[u - 1])) - d) > tol
-                       for u, d in cuts.get(i + 1, ())):
-                stack.append((i + 1, prefix << 1 | bit, q_next))
+    for index, points, _ in _walk(internal, _branches(internal), internal.n,
+                                  cuts, tol, order):
+        yield index, points
+
+
+def leaf_blocks(internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
+    """Every leaf of the sign tree, ascending, in blocks of consecutive leaves.
+
+    Yields (first, points), points of shape (K, n, 3) with
+    K = 2^min(n - 3, BLOCK_LEVELS): row j holds leaf first + j.  The top
+    levels are walked prefix by prefix; below each prefix the running
+    products are doubled level by level, Q <- (Q B_i^+, Q B_i^-), as
+    array ops.  Every leaf's points equal
+    `realize(internal, int_to_bits(first + j, n - 3)).points` bit for bit.
+    """
+    n = internal.n
+    low = min(n - 3, BLOCK_LEVELS)
+    branches = _branches(internal)
+    for prefix, points, q in _walk(internal, branches, n - low, {}):
+        qs, block = q[None], points[None]
+        for i in range(n - low + 1, n + 1):
+            qs = np.matmul(qs[:, None], branches[i]).reshape(-1, 4, 4)
+            block = np.repeat(block, 2, axis=0)
+            block[:, i - 1] = qs[:, :3, 3]
+        yield prefix << low, block
+
+
+def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based endpoints u, v and squared distances d_uv^2 of every edge,
+    the form `penalties` takes the instance in."""
+    ends = np.array(list(inst.edges), dtype=np.intp).reshape(-1, 2) - 1
+    d = np.fromiter(inst.edges.values(), dtype=float, count=len(inst.edges))
+    return ends[:, 0], ends[:, 1], d * d
+
+
+def penalties(points: np.ndarray,
+              edges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Penalty of each conformation in a stack: points (K, n, 3) -> (K,).
+
+    g = sum over edges of (||x_u - x_v||^2 - d_uv^2)^2, with `edges` from
+    `edge_arrays`.  Zero exactly when every edge distance is met.
+    """
+    u, v, d2 = edges
+    diff = points[:, u] - points[:, v]
+    residual = np.einsum("kej,kej->ke", diff, diff) - d2
+    return np.einsum("ke,ke->k", residual, residual)
 
 
 def penalty(conf: Conformation, inst: "DmdgpInstance") -> float:
-    """Sum over edges of (||x_u - x_v||^2 - d_uv^2)^2.
-
-    Zero exactly when every edge distance is met.
-    """
-    pts = conf.points
-    total = 0.0
-    for (u, v), d in inst.edges.items():
-        diff = pts[u - 1] - pts[v - 1]
-        sq = float(diff @ diff)
-        total += (sq - d * d) ** 2
-    return total
+    """Penalty of one conformation: `penalties` of a stack of one."""
+    return float(penalties(conf.points[None], edge_arrays(inst))[0])
 
 
 def extract_internal(inst: "DmdgpInstance") -> InternalCoords:

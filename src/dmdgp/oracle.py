@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitstrings import int_to_bits
-from .geometry import Conformation, InternalCoords, penalty, realize, sign_tree
+from .geometry import InternalCoords, edge_arrays, leaf_blocks, penalties, penalty, realize
 from .instance import DmdgpInstance
 
 DEFAULT_DELTA = 1e-4
@@ -88,12 +88,15 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
 
 def scan(inst: DmdgpInstance, internal: InternalCoords,
          scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, float]]:
-    """(k, g(h(k))) for every candidate k, ascending, from one sign-tree
-    walk; raises ScanCapExceeded before any work when 2^(n-3) > scan_cap."""
+    """(k, g(h(k))) for every candidate k, ascending, with the penalties of
+    each block of `leaf_blocks` taken as array ops; raises ScanCapExceeded
+    before any work when 2^(n-3) > scan_cap."""
     size = 1 << (inst.n - 3)
     if size > scan_cap:
         raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
-    return ((k, penalty(Conformation(points), inst)) for k, points in sign_tree(internal))
+    edges = edge_arrays(inst)
+    return ((first + j, g) for first, block in leaf_blocks(internal)
+            for j, g in enumerate(penalties(block, edges).tolist()))
 
 
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,

@@ -99,6 +99,12 @@ class TestSolve:
     def test_missing_file_is_io_error(self):
         assert main(["solve", "/nonexistent/inst.json"]) == EXIT_IO
 
+    def test_nonpositive_tol_is_usage_error(self, demo_path, capsys):
+        assert main(["solve", demo_path, "--tol", "0"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["dmdgp: error: --tol must be positive"]
+
     def test_malformed_file_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")
@@ -141,6 +147,16 @@ class TestGrover:
     def test_bad_iters_usage_error(self, demo_path):
         assert main(["grover", demo_path, "--iters", "-2"]) == EXIT_USAGE
         assert main(["grover", demo_path, "--iters", "lots"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise", "1.5"], "--noise must lie in [0, 1]"),
+        (["--shots", "0"], "--shots must be positive"),
+    ])
+    def test_bad_noise_or_shots_is_usage_error(self, demo_path, capsys, flags, message):
+        assert main(["grover", demo_path, *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
 
     def test_over_scan_cap_is_data_error(self, n30_path, capsys):
         assert main(["grover", n30_path]) == EXIT_DATA

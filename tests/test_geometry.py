@@ -13,7 +13,13 @@ from dmdgp import (
     realize,
 )
 from dmdgp.bitstrings import int_to_bits
-from dmdgp.geometry import _torsion_cosine, quad_end_distance, sign_tree
+from dmdgp.geometry import (
+    BLOCK_LEVELS,
+    _torsion_cosine,
+    leaf_blocks,
+    quad_end_distance,
+    sign_tree,
+)
 from dmdgp.instance import DmdgpInstance, random_internal_coords
 
 
@@ -135,6 +141,20 @@ class TestSignTree:
         _, pts = next(sign_tree(chain()))
         with pytest.raises(ValueError):
             pts[0, 0] = 1.0
+
+
+class TestLeafBlocks:
+    @pytest.mark.parametrize("levels", [BLOCK_LEVELS - 1, BLOCK_LEVELS, BLOCK_LEVELS + 1])
+    def test_every_leaf_is_realize_bit_for_bit(self, levels):
+        ic = chain(levels + 3, levels)
+        seen = 0
+        for first, block in leaf_blocks(ic):
+            assert first == seen
+            assert block.shape == (1 << min(levels, BLOCK_LEVELS), levels + 3, 3)
+            for j, pts in enumerate(block):
+                assert np.array_equal(pts, realize(ic, int_to_bits(first + j, levels)).points)
+            seen += len(block)
+        assert seen == 1 << levels
 
 
 class TestExtract:

@@ -114,6 +114,12 @@ class TestMarkedSet:
             assert list(marked) == sols.indices()
             assert len(marked) == symmetry_set(inst).expansion_size
 
+    def test_near_solutions_stay_marked(self):
+        # 225 and 286 are not solutions: their penalty 9.3e-6 is below delta
+        inst, _ = generate(12, 405007, 0.5)
+        marked = marked_set(inst, extract_internal(inst), oracle_params(12))
+        assert marked == (224, 225, 286, 287)
+
     def test_complement_closure(self):
         for seed in range(5):
             inst, _ = generate(8, seed, 0.8)

@@ -1,19 +1,27 @@
-"""Property tests over generated instances: the shared sign-tree walk
-agrees with the per-candidate references `oracle_eval` and `realize`."""
+"""Property tests over generated instances: the sign-tree walk and the
+block scan agree with the per-candidate references `oracle_eval`,
+`realize` and `penalty`, and the symmetry set and its expansion agree
+with their definitions."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdgp import (
     branch_and_prune,
+    expand_symmetry,
     extract_internal,
     generate,
+    int_to_bits,
     marked_set,
     oracle_eval,
     oracle_params,
+    penalty,
     realize,
+    symmetry_set,
 )
+from dmdgp.bp import SymmetrySet
+from dmdgp.oracle import scan
 
 instances = st.builds(
     generate,
@@ -44,3 +52,50 @@ def test_bp_leaves_are_realize_bit_for_bit(generated, order):
     for sol in branch_and_prune(inst, internal, branch_order=order).entries:
         assert np.array_equal(sol.conformation.points,
                               realize(internal, sol.bits).points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 14), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)))
+@example(generate(13, 5, 0.5))  # 4 blocks
+@example(generate(14, 6, 0.9))  # 8 blocks
+def test_block_scan_equals_per_candidate_references(generated):
+    inst, _ = generated
+    internal = extract_internal(inst)
+    params = oracle_params(inst.n)
+    rows = list(scan(inst, internal))
+    assert [k for k, _ in rows] == list(range(1 << (inst.n - 3)))
+    for k, g in rows:
+        expected = penalty(realize(internal, int_to_bits(k, inst.n - 3)), inst)
+        assert abs(g - expected) <= 1e-9 + 1e-12 * expected
+    assert list(marked_set(inst, internal, params)) == [
+        k for k, _ in rows if oracle_eval(inst, internal, params, k) == 1
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)))
+def test_symmetry_set_equals_its_definition(generated):
+    inst, _ = generated
+    definition = tuple(
+        v for v in range(4, inst.n + 1)
+        if not any(u + 3 < v <= w for (u, w) in inst.edges)
+    )
+    assert symmetry_set(inst).vertices == definition
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda width: st.tuples(
+    st.text("01", min_size=width, max_size=width),
+    st.sets(st.integers(4, width + 3)).map(sorted))))
+def test_expand_symmetry_equals_string_reflections(case):
+    bits, vertices = case
+    # reflecting at v flips the bit of every vertex >= v (position >= v - 4)
+    orbit = set()
+    for mask in range(1 << len(vertices)):
+        chosen = [v for b, v in enumerate(vertices) if mask >> b & 1]
+        orbit.add("".join(
+            c if sum(v <= pos + 4 for v in chosen) % 2 == 0 else "10"[int(c)]
+            for pos, c in enumerate(bits)))
+    assert expand_symmetry(bits, SymmetrySet(tuple(vertices))) == orbit
