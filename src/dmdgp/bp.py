@@ -21,7 +21,7 @@ from .instance import DmdgpInstance
 #: penalty; accepted leaves are re-checked against the full penalty.
 DEFAULT_PRUNE_TOL = 1e-6
 
-#: Default final-acceptance bound on the full penalty, matching the
+#: Final-acceptance bound on a leaf's full penalty, matching the
 #: oracle's solution threshold.
 DEFAULT_PENALTY_TOL = 1e-4
 
@@ -111,7 +111,6 @@ def branch_and_prune(
     internal: InternalCoords,
     tol: float = DEFAULT_PRUNE_TOL,
     mode: str = "all",
-    penalty_tol: float = DEFAULT_PENALTY_TOL,
     branch_order: tuple[int, int] = (0, 1),
 ) -> SolutionSet:
     """Depth-first search of the sign tree.
@@ -130,7 +129,7 @@ def branch_and_prune(
     found: list[Solution] = []
     for index, points in sign_tree(internal, inst.long_range_edges(), tol, branch_order):
         g = float(penalties(points[None], edges)[0])
-        if g < penalty_tol:
+        if g < DEFAULT_PENALTY_TOL:
             found.append(Solution(int_to_bits(index, inst.n - 3), Conformation(points), g))
             if mode == "first":
                 break

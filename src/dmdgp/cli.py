@@ -307,8 +307,7 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     plan = grover.iteration_count(N, len(marked), mode=iter_mode)
     k = plan.k if iters is None else iters
     ideal = grover.grover_distribution(N, marked, k)
-    measured = grover.mix_uniform(ideal, noise) if noise > 0 else ideal
-    counts = grover.sample(measured, shots, seed)
+    counts = grover.sample(grover.mix_uniform(ideal, noise), shots, seed)
     quality = metrics.compare(counts.frequencies(), ideal.probabilities, marked)
     return RunReport(
         n=inst.n,
@@ -327,10 +326,8 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     )
 
 
-def render_run_report(report: RunReport) -> str:
+def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarray) -> str:
     n_bits = report.n - 3
-    freqs = report.counts.frequencies()
-    labels = [int_to_bits(i, n_bits) for i in range(report.N)]
     marked = set(report.marked)
     lines = [
         f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
@@ -381,9 +378,9 @@ def cmd_grover(args: argparse.Namespace) -> int:
     except bp.NoSolutionError:
         print("oracle marks no candidate (inconsistent instance)")
         return EXIT_NO_SOLUTION
-    print(render_run_report(report))
     labels = [int_to_bits(i, report.n - 3) for i in range(report.N)]
     freqs = report.counts.frequencies()
+    print(render_run_report(report, labels, freqs))
     if args.svg:
         svg = histogram_svg(
             labels,

@@ -1,6 +1,6 @@
 """Exact statevector simulation of amplitude amplification.
 
-The search register holds N = 2^(n-3) amplitudes.  One iteration
+The search register holds N = 2^(n-3) real amplitudes.  One iteration
 negates the marked amplitudes (the phase oracle acting on the search
 register alone; the |-> ancilla that would absorb the kickback is
 mathematically inert and never materialized) and then reflects about
@@ -33,15 +33,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Statevector:
-    """Unit-norm complex amplitudes over N basis states."""
+    """Unit-norm real amplitudes over N basis states (the oracle and the
+    diffusion never leave the reals, so complex input is rejected)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        if np.iscomplexobj(self.amplitudes):
+            raise ValueError("amplitudes must be real")
+        amps = np.asarray(self.amplitudes, dtype=float)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-D array")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(amps @ amps)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm^2 = {norm_sq} is not 1")
         object.__setattr__(self, "amplitudes", _frozen(amps))
@@ -51,10 +54,10 @@ class Statevector:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(np.sqrt(self.amplitudes @ self.amplitudes))
 
     def probabilities(self) -> "Distribution":
-        return Distribution(np.abs(self.amplitudes) ** 2)
+        return Distribution(np.square(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,15 @@ def iteration_count(N: int, M: int = 1, mode: str = "nearest") -> GroverPlan:
     return GroverPlan(N=N, M=M, theta=theta, k_raw=k_raw, k=k, mode=mode)
 
 
-def uniform_state(N: int) -> Statevector:
-    """Equal superposition over all N outcomes."""
+def _uniform_amplitudes(N: int) -> np.ndarray:
     if N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"search space size must be a power of 2 >= 2, got {N}")
-    return Statevector(np.full(N, 1.0 / math.sqrt(N), dtype=complex))
+    return np.full(N, 1.0 / math.sqrt(N))
+
+
+def uniform_state(N: int) -> Statevector:
+    """Equal superposition over all N outcomes."""
+    return Statevector(_uniform_amplitudes(N))
 
 
 def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
@@ -157,12 +164,18 @@ def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
     return idx
 
 
+def _iterate(amps: np.ndarray, idx: np.ndarray, iters: int) -> None:
+    """Apply `iters` iterations to `amps` in place: phase-flip the marked
+    entries, then reflect every entry about the mean."""
+    for _ in range(iters):
+        amps[idx] = -amps[idx]
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
+
+
 def evolve(state: Statevector, marked: Iterable[int]) -> Statevector:
     """One iteration: phase-flip the marked amplitudes, reflect about the mean."""
     amps = state.amplitudes.copy()
-    idx = _marked_array(amps.size, marked)
-    amps[idx] = -amps[idx]
-    amps = 2.0 * amps.mean() - amps
+    _iterate(amps, _marked_array(amps.size, marked), 1)
     return Statevector(amps)
 
 
@@ -171,10 +184,9 @@ def grover_state(N: int, marked: Iterable[int], iters: int) -> Statevector:
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
     idx = _marked_array(N, marked)
-    state = uniform_state(N)
-    for _ in range(iters):
-        state = evolve(state, idx)
-    return state
+    amps = _uniform_amplitudes(N)
+    _iterate(amps, idx, iters)
+    return Statevector(amps)
 
 
 def grover_distribution(N: int, marked: Iterable[int], iters: int) -> Distribution:

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dmdgp.cli import (
     EXIT_USAGE,
     load_distribution_csv,
     main,
+    run_search,
     save_distribution_csv,
 )
 from dmdgp.instance import ParseError
@@ -157,6 +159,20 @@ class TestGrover:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [f"dmdgp: error: {message}"]
+
+    @pytest.mark.parametrize("flags, golden", [
+        (["--seed", "5"], "grover_demo7_seed5.txt"),
+        (["--noise", "0.3", "--seed", "3"], "grover_demo7_noise0.3_seed3.txt"),
+    ])
+    def test_demo_output_is_golden(self, demo_path, capsys, flags, golden):
+        assert main(["grover", demo_path, *flags]) == EXIT_OK
+        expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_run_search_rejects_negative_noise(self):
+        inst, _ = demo7_instance()
+        with pytest.raises(ValueError, match="mixing weight"):
+            run_search(inst, None, "nearest", 100, 0, -0.25)
 
     def test_over_scan_cap_is_data_error(self, n30_path, capsys):
         assert main(["grover", n30_path]) == EXIT_DATA

@@ -193,3 +193,9 @@ class TestTypes:
 
         with pytest.raises(ValueError):
             Statevector(np.array([1.0, 1.0]))
+
+    def test_statevector_rejects_complex_amplitudes(self):
+        from dmdgp import Statevector
+
+        with pytest.raises(ValueError, match="real"):
+            Statevector(np.array([1j, 0]))

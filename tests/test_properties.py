@@ -1,7 +1,10 @@
 """Property tests over generated instances: the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
-`realize` and `penalty`, and the symmetry set and its expansion agree
-with their definitions."""
+`realize` and `penalty`, the symmetry set and its expansion agree
+with their definitions, and the in-place Grover run agrees with the
+single-step reference `evolve` and the closed form."""
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,15 +15,18 @@ from dmdgp import (
     expand_symmetry,
     extract_internal,
     generate,
+    grover_state,
     int_to_bits,
     marked_set,
     oracle_eval,
     oracle_params,
     penalty,
     realize,
+    success_probability,
     symmetry_set,
 )
 from dmdgp.bp import SymmetrySet
+from dmdgp.grover import evolve, uniform_state
 from dmdgp.oracle import scan
 
 instances = st.builds(
@@ -99,3 +105,28 @@ def test_expand_symmetry_equals_string_reflections(case):
             c if sum(v <= pos + 4 for v in chosen) % 2 == 0 else "10"[int(c)]
             for pos, c in enumerate(bits)))
     assert expand_symmetry(bits, SymmetrySet(tuple(vertices))) == orbit
+
+
+@st.composite
+def searches(draw):
+    """(N, sorted marked set with 1 <= M < N, iteration count k <= 3 sqrt(N))."""
+    N = 1 << draw(st.integers(2, 12))
+    M = draw(st.integers(1, N - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    marked = np.sort(rng.choice(N, size=M, replace=False))
+    return N, marked, draw(st.integers(0, 3 * math.isqrt(N)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(searches())
+def test_grover_state_equals_chained_evolve_and_closed_form(search):
+    N, marked, iters = search
+    state = grover_state(N, marked, iters)
+    reference = uniform_state(N)
+    for _ in range(iters):
+        reference = evolve(reference, marked)
+    assert np.array_equal(state.amplitudes, reference.amplitudes)
+    probs = state.probabilities().probabilities
+    assert abs(probs[marked].sum() - success_probability(N, marked.size, iters)) <= 1e-9
+    assert np.unique(probs[marked]).size == 1
+    assert np.unique(np.delete(probs, marked)).size == 1
