@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitstrings import bits_to_int, int_to_bits
-from .geometry import Conformation, InternalCoords, edge_arrays, penalties, sign_tree
+from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays, penalties
 from .instance import DmdgpInstance
 
 #: Default per-edge pruning tolerance (angstroms).  Linear distance
@@ -126,13 +126,15 @@ def branch_and_prune(
     if sorted(branch_order) != [0, 1]:
         raise ValueError("branch_order must be a permutation of (0, 1)")
     edges = edge_arrays(inst)
+    limit = 1 if mode == "first" else None
     found: list[Solution] = []
-    for index, points in sign_tree(internal, inst.long_range_edges(), tol, branch_order):
-        g = float(penalties(points[None], edges)[0])
-        if g < DEFAULT_PENALTY_TOL:
-            found.append(Solution(int_to_bits(index, inst.n - 3), Conformation(points), g))
-            if mode == "first":
-                break
+    for first, lows, block in _sign_blocks(internal, inst.long_range_edges(), tol, branch_order):
+        g = penalties(block, edges)
+        for j in (g < DEFAULT_PENALTY_TOL).nonzero()[0][:limit].tolist():
+            found.append(Solution(int_to_bits(first + lows[j], inst.n - 3),
+                                  Conformation(block[j]), float(g[j])))
+        if found and limit:
+            break
     if not found:
         raise NoSolutionError(
             "branch-and-prune found no solution (inconsistent instance or tol too tight)"

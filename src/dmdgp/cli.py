@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error,
 65 data format error or an instance outside supported limits (search
-space over the scan cap, every candidate marked).
+space over the scan cap, every candidate marked, distances no chain
+realizes).
 """
 
 from __future__ import annotations
@@ -529,6 +530,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, oracle.ScanCapExceeded) as exc:
         print(f"dmdgp: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_DATA
+    except geometry.InconsistentDistances as exc:
+        # raised by extract_internal, which only solve, grover and oracle-scan call
+        print(f"dmdgp: error: {args.instance}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def console_main() -> None:

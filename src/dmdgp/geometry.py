@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: instead of clamped.
 COS_TOLERANCE = 1e-9
 
-#: Sign levels `leaf_blocks` doubles as array ops, so a block holds at
+#: Sign levels the sign-tree walk doubles as array ops, so a block holds at
 #: most 2^BLOCK_LEVELS leaves and a scan's memory does not grow with the
 #: search space.  Blocks of 2^6..2^12 leaves scan n=12..14 in about the
 #: same time; 2^8 keeps a scan's allocations near 1 MiB (4 MiB at 2^10).
 BLOCK_LEVELS = 8
+
+
+class InconsistentDistances(ValueError):
+    """Distances that no chain realizes: a degenerate triple or a torsion
+    cosine outside [-1, 1]."""
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -192,25 +197,31 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
     return Conformation(points)
 
 
-def _branches(internal: InternalCoords) -> dict[int, np.ndarray]:
-    """(B_i^+, B_i^-) stacked as a (2, 4, 4) array, per branching vertex i."""
-    return {i: np.stack((b_matrix(i, internal, 1), b_matrix(i, internal, -1)))
-            for i in range(4, internal.n + 1)}
+def _misses(points: np.ndarray, x: np.ndarray, cut: tuple, tol: float) -> np.ndarray:
+    """Rows whose new x_v misses a prune edge (u, d) of `cut` by over `tol`."""
+    u, d = cut
+    dist = np.linalg.norm(points[..., u, :] - x[..., None, :], axis=-1)
+    return (np.abs(dist - d) > tol).any(axis=-1)
 
 
-def _walk(internal: InternalCoords, branches: dict[int, np.ndarray], depth: int,
-          cuts: dict[int, list[tuple[int, float]]], tol: float = 0.0,
-          order: tuple[int, int] = (0, 1)
-          ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Depth-first walk of the sign tree down to vertex `depth`, on an
-    explicit stack, cutting children that miss a prune edge of `cuts`
-    (vertex -> [(u, d)]) by more than `tol`.  Yields (prefix, points, Q)
-    per surviving node at that depth: its sign-word prefix, a read-only
-    view of x_1..x_n that the walk overwrites (rows past `depth` are
-    stale), and its running product."""
-    points = np.zeros((internal.n, 3))
-    view = points.view()
-    view.flags.writeable = False
+def _sign_blocks(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
+                 tol: float = 0.0, order: tuple[int, int] = (0, 1)
+                 ) -> Iterator[tuple[int, Sequence[int], np.ndarray]]:
+    """The one walk of the sign tree: (first, lows, points (K, n, 3)) per
+    block of leaves first + lows[j] that keep every prune edge (u, v, d)
+    within `tol`, depth first with children in `order`.  Levels above the
+    last BLOCK_LEVELS go node by node on an explicit stack with one points
+    buffer, the rest double as array ops, Q <- (Q B_i^order[0], Q B_i^order[1])."""
+    n = internal.n
+    low = min(n - 3, BLOCK_LEVELS)
+    grouped: dict[int, list[tuple[int, float]]] = {}
+    for u, v, d in prune:
+        grouped.setdefault(v, []).append((u - 1, d))
+    cuts = {v: tuple(map(np.array, zip(*edges))) for v, edges in grouped.items()}
+    # B_i of the first and the second child, per branching vertex i
+    branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in order])
+                for i in range(4, n + 1)}
+    points = np.zeros((n, 3))
     q = np.eye(4) @ b_matrix(2, internal)
     points[1] = q[:3, 3]
     # (vertex placed last, sign-word prefix, its transform Q)
@@ -218,57 +229,49 @@ def _walk(internal: InternalCoords, branches: dict[int, np.ndarray], depth: int,
     while stack:
         i, prefix, q = stack.pop()
         points[i - 1] = q[:3, 3]
-        if i == depth:
-            yield prefix, view, q
+        if i < n - low:
+            for child in (1, 0):
+                q_next = q @ branches[i + 1][child]
+                if i + 1 not in cuts or not _misses(points, q_next[:3, 3], cuts[i + 1], tol):
+                    stack.append((i + 1, prefix << 1 | order[child], q_next))
             continue
-        for bit in reversed(order):
-            q_next = q @ branches[i + 1][bit]
-            x = q_next[:3, 3]
-            if not any(abs(float(np.linalg.norm(x - points[u - 1])) - d) > tol
-                       for u, d in cuts.get(i + 1, ())):
-                stack.append((i + 1, prefix << 1 | bit, q_next))
+        qs, block = q[None], points[None]
+        lows = None if not cuts and order == (0, 1) else np.zeros(1, dtype=np.intp)
+        for v in range(i + 1, n + 1):
+            qs = np.matmul(qs[:, None], branches[v]).reshape(-1, 4, 4)
+            block = np.repeat(block, 2, axis=0)
+            block[:, v - 1] = qs[:, :3, 3]
+            if lows is not None:
+                lows = (2 * lows[:, None] + order).ravel()
+            if v in cuts:
+                keep = ~_misses(block, qs[:, :3, 3], cuts[v], tol)
+                qs, block, lows = qs[keep], block[keep], lows[keep]
+        yield prefix << low, range(len(block)) if lows is None else lows.tolist(), block
 
 
 def sign_tree(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
               tol: float = 0.0, order: tuple[int, int] = (0, 1)
               ) -> Iterator[tuple[int, np.ndarray]]:
-    """Depth-first walk of the torsion-sign tree on an explicit stack.
+    """Depth-first walk of the torsion-sign tree, one leaf at a time.
 
     Yields (index, points) for each leaf that passes every prune edge
     (u, v, d): |x_u - x_v| within `tol` of d.  Children come in `order`,
-    so (0, 1) yields ascending indices.  Transforms are the running
-    products Q_{i-1} B_i of `realize`, so a leaf's points equal
+    so (0, 1) yields ascending indices.  A leaf's read-only points equal
     `realize(internal, int_to_bits(index, n - 3)).points` bit for bit.
-    `points` is a read-only view that the walk overwrites.
     """
-    cuts: dict[int, list[tuple[int, float]]] = {}
-    for u, v, d in prune:
-        cuts.setdefault(v, []).append((u, d))
-    for index, points, _ in _walk(internal, _branches(internal), internal.n,
-                                  cuts, tol, order):
-        yield index, points
+    for first, lows, block in _sign_blocks(internal, prune, tol, order):
+        block.flags.writeable = False
+        for low, points in zip(lows, block):
+            yield first + low, points
 
 
 def leaf_blocks(internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
-    """Every leaf of the sign tree, ascending, in blocks of consecutive leaves.
-
-    Yields (first, points), points of shape (K, n, 3) with
-    K = 2^min(n - 3, BLOCK_LEVELS): row j holds leaf first + j.  The top
-    levels are walked prefix by prefix; below each prefix the running
-    products are doubled level by level, Q <- (Q B_i^+, Q B_i^-), as
-    array ops.  Every leaf's points equal
-    `realize(internal, int_to_bits(first + j, n - 3)).points` bit for bit.
-    """
-    n = internal.n
-    low = min(n - 3, BLOCK_LEVELS)
-    branches = _branches(internal)
-    for prefix, points, q in _walk(internal, branches, n - low, {}):
-        qs, block = q[None], points[None]
-        for i in range(n - low + 1, n + 1):
-            qs = np.matmul(qs[:, None], branches[i]).reshape(-1, 4, 4)
-            block = np.repeat(block, 2, axis=0)
-            block[:, i - 1] = qs[:, :3, 3]
-        yield prefix << low, block
+    """Every leaf of the sign tree, ascending, in blocks (first, points) of
+    K = 2^min(n - 3, BLOCK_LEVELS) consecutive leaves: points (K, n, 3),
+    row j equal to `realize(internal, int_to_bits(first + j, n - 3)).points`
+    bit for bit."""
+    for first, _, block in _sign_blocks(internal):
+        yield first, block
 
 
 def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,7 +323,7 @@ def extract_internal(inst: "DmdgpInstance") -> InternalCoords:
         a, b, c = d(i - 2, i - 1), d(i - 1, i), d(i - 2, i)
         cos_t = (a * a + b * b - c * c) / (2.0 * a * b)
         if abs(cos_t) > 1.0 + COS_TOLERANCE:
-            raise ValueError(f"degenerate triple at vertex {i}: |cos theta| > 1")
+            raise InconsistentDistances(f"degenerate triple at vertex {i}: |cos theta| > 1")
         angles[i - 3] = math.acos(min(1.0, max(-1.0, cos_t)))
     cosines = np.empty(n - 3)
     for i in range(4, n + 1):
@@ -339,11 +342,11 @@ def _torsion_cosine(d12: float, d13: float, d14: float,
     s1 = 4.0 * d12 * d12 * d23 * d23 - a1 * a1
     s2 = 4.0 * d23 * d23 * d24 * d24 - a2 * a2
     if s1 <= 0.0 or s2 <= 0.0:
-        raise ValueError("collinear triple: torsion angle undefined")
+        raise InconsistentDistances("collinear triple: torsion angle undefined")
     num = 2.0 * d23 * d23 * (d12 * d12 + d24 * d24 - d14 * d14) - a1 * a2
     cos_w = num / (math.sqrt(s1) * math.sqrt(s2))
     if abs(cos_w) > 1.0 + COS_TOLERANCE:
-        raise ValueError("torsion cosine outside [-1, 1]: inconsistent distances")
+        raise InconsistentDistances("torsion cosine outside [-1, 1]: inconsistent distances")
     return min(1.0, max(-1.0, cos_w))
 
 

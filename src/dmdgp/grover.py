@@ -19,16 +19,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .geometry import _frozen
+
 NORM_ATOL = 1e-12
 SUM_ATOL = 1e-12
 
 ITERATION_MODES = ("paper_floor", "nearest")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

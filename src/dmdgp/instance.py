@@ -151,13 +151,14 @@ def validate(inst: DmdgpInstance) -> ValidationReport:
             a = inst.weight(j, j + 1)
             b = inst.weight(j + 1, j + 2)
             c = inst.weight(j, j + 2)
-            if a + b <= c:
+            if not abs(a - b) < c < a + b:
                 i = min(j + 3, inst.n)
                 violations.append(
                     Violation(
                         "triangle",
-                        f"triangle inequality not strict at i={i}: "
-                        f"d({j},{j+1}) + d({j+1},{j+2}) <= d({j},{j+2})",
+                        f"triangle inequality not strict at i={i}: need "
+                        f"|d({j},{j+1}) - d({j+1},{j+2})| < d({j},{j+2}) "
+                        f"< d({j},{j+1}) + d({j+1},{j+2})",
                         triple,
                     )
                 )

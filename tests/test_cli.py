@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -192,6 +193,24 @@ class TestGrover:
         assert out == ""
         assert err.splitlines() == [
             "dmdgp: error: oracle marks all 8 candidates: nothing to amplify"
+        ]
+
+
+class TestUnrealizableInstance:
+    """Valid by `validate`, but d(1,4) = 5.9 exceeds the 4.5 that three
+    bonds of 1.5 span, so its torsion cosine lies outside [-1, 1]."""
+
+    @pytest.mark.parametrize("command", ["solve", "grover", "oracle-scan"])
+    def test_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "unrealizable.json"
+        path.write_text(json.dumps({"n": 4, "edges": [
+            [1, 2, 1.5], [1, 3, 2.5], [1, 4, 5.9], [2, 3, 1.5], [2, 4, 1.5], [3, 4, 1.5],
+        ]}), encoding="utf-8")
+        assert main([command, str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"dmdgp: error: {path}: torsion cosine outside [-1, 1]: inconsistent distances"
         ]
 
 

@@ -136,6 +136,13 @@ class TestValidate:
             v.rule == "triangle" and "i=4" in v.message for v in report.violations
         )
 
+    def test_third_side_shorter_than_the_difference(self):
+        edges = small_edges(4)
+        edges[(1, 2)], edges[(2, 3)], edges[(1, 3)] = 1.0, 5.0, 1.0
+        report = validate(DmdgpInstance(4, edges))
+        assert any(v.rule == "triangle" and "i=4" in v.message and v.where == (1, 2, 3)
+                   for v in report.violations)
+
     def test_weight_over_ceiling(self):
         edges = small_edges(4)
         edges[(1, 4)] = 6.5

@@ -1,8 +1,10 @@
 """Property tests over generated instances: the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
-`realize` and `penalty`, the symmetry set and its expansion agree
-with their definitions, and the in-place Grover run agrees with the
-single-step reference `evolve` and the closed form."""
+`realize` and `penalty`, branch-and-prune keeps exactly the candidates
+that a per-candidate prune-edge and penalty check keeps, the symmetry
+set and its expansion agree with their definitions, and the in-place
+Grover run agrees with the single-step reference `evolve` and the
+closed form."""
 
 import math
 
@@ -25,7 +27,8 @@ from dmdgp import (
     success_probability,
     symmetry_set,
 )
-from dmdgp.bp import SymmetrySet
+from dmdgp.bp import DEFAULT_PENALTY_TOL, DEFAULT_PRUNE_TOL, SymmetrySet
+from dmdgp.geometry import BLOCK_LEVELS
 from dmdgp.grover import evolve, uniform_state
 from dmdgp.oracle import scan
 
@@ -58,6 +61,34 @@ def test_bp_leaves_are_realize_bit_for_bit(generated, order):
     for sol in branch_and_prune(inst, internal, branch_order=order).entries:
         assert np.array_equal(sol.conformation.points,
                               realize(internal, sol.bits).points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 14), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)))
+# n - 3 = BLOCK_LEVELS - 1, BLOCK_LEVELS, BLOCK_LEVELS + 1: every pruning
+# edge ends inside the levels the walk doubles as array ops
+@example(generate(BLOCK_LEVELS + 2, 1, 0.5))
+@example(generate(BLOCK_LEVELS + 3, 2, 0.5))
+@example(generate(BLOCK_LEVELS + 4, 3, 0.5))
+# candidates 225 and 286 have penalty 9.3e-6 < 1e-4 but miss a long edge
+@example(generate(12, 405007, 0.5))
+def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generated):
+    inst, _ = generated
+    internal = extract_internal(inst)
+    width = inst.n - 3
+    expected = []
+    for k in range(1 << width):
+        conf = realize(internal, int_to_bits(k, width))
+        if penalty(conf, inst) < DEFAULT_PENALTY_TOL and all(
+                abs(conf.distance(u, v) - d) <= DEFAULT_PRUNE_TOL
+                for u, v, d in inst.long_range_edges()):
+            expected.append(k)
+    assert branch_and_prune(inst, internal).indices() == expected
+    assert branch_and_prune(inst, internal, branch_order=(1, 0)).indices() == expected
+    assert branch_and_prune(inst, internal, mode="first").indices() == expected[:1]
+    assert branch_and_prune(inst, internal, mode="first",
+                            branch_order=(1, 0)).indices() == expected[-1:]
 
 
 @settings(max_examples=25, deadline=None)
