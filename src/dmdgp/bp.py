@@ -1,10 +1,12 @@
 """Branch-and-prune enumeration and the solution-set symmetries.
 
 The search tree roots at the fixed first three atoms and branches on
-the torsion sign at each vertex from 4 to n.  Pruning tests every edge
-{v_j, v_i} with j < i - 3 against the freshly placed position of v_i.
-The symmetry vertices S predict the solution count 2^|S| before any
-search runs, and one found solution expands to the full set by suffix
+the torsion sign at each vertex from 4 to n.  Each node carries the
+partial penalty of the edges its placed vertices close, and a subtree
+is pruned once that sum reaches the oracle's threshold delta, so the
+surviving leaves are exactly the candidates the oracle marks.  The
+symmetry vertices S predict the solution count 2^|S| before any search
+runs, and one found solution expands to the full set by suffix
 reflections.
 """
 
@@ -13,21 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitstrings import bits_to_int, int_to_bits
-from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays, penalties
+from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays
 from .instance import DmdgpInstance
-
-#: Default per-edge pruning tolerance (angstroms).  Linear distance
-#: residuals are better conditioned during search than the quartic
-#: penalty; accepted leaves are re-checked against the full penalty.
-DEFAULT_PRUNE_TOL = 1e-6
-
-#: Final-acceptance bound on a leaf's full penalty, matching the
-#: oracle's solution threshold.
-DEFAULT_PENALTY_TOL = 1e-4
+from .oracle import DEFAULT_DELTA
 
 
 class NoSolutionError(RuntimeError):
-    """No leaf survived: inconsistent instance or too tight a tolerance."""
+    """No candidate has penalty below delta: no chain realizes the distances."""
 
 
 @dataclass(frozen=True)
@@ -50,13 +44,13 @@ class SymmetrySet:
 
 @dataclass(frozen=True)
 class Solution:
-    bits: str
+    index: int
     conformation: Conformation
     penalty: float
 
     @property
-    def index(self) -> int:
-        return bits_to_int(self.bits)
+    def bits(self) -> str:
+        return int_to_bits(self.index, self.conformation.n - 3)
 
 
 @dataclass(frozen=True)
@@ -109,35 +103,31 @@ def expand_symmetry(bits: str, sym: SymmetrySet) -> set[str]:
 def branch_and_prune(
     inst: DmdgpInstance,
     internal: InternalCoords,
-    tol: float = DEFAULT_PRUNE_TOL,
+    delta: float = DEFAULT_DELTA,
     mode: str = "all",
     branch_order: tuple[int, int] = (0, 1),
 ) -> SolutionSet:
-    """Depth-first search of the sign tree.
+    """Depth-first search of the sign tree for the candidates with penalty
+    below delta.
 
-    mode="first" stops at the first surviving leaf, mode="all" returns
-    every one.  The result is sorted by bit word regardless of the
-    branch order explored.
+    mode="first" stops at the first such leaf, mode="all" returns every
+    one.  The result is sorted by index regardless of the branch order
+    explored.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
-    if tol <= 0:
-        raise ValueError("pruning tolerance must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if sorted(branch_order) != [0, 1]:
         raise ValueError("branch_order must be a permutation of (0, 1)")
-    edges = edge_arrays(inst)
     limit = 1 if mode == "first" else None
     found: list[Solution] = []
-    for first, lows, block in _sign_blocks(internal, inst.long_range_edges(), tol, branch_order):
-        g = penalties(block, edges)
-        for j in (g < DEFAULT_PENALTY_TOL).nonzero()[0][:limit].tolist():
-            found.append(Solution(int_to_bits(first + lows[j], inst.n - 3),
-                                  Conformation(block[j]), float(g[j])))
+    for first, lows, block, g in _sign_blocks(internal, edge_arrays(inst), delta, branch_order):
+        found += [Solution(first + low, Conformation(points), gk)
+                  for low, points, gk in zip(lows[:limit], block, g.tolist())]
         if found and limit:
             break
     if not found:
-        raise NoSolutionError(
-            "branch-and-prune found no solution (inconsistent instance or tol too tight)"
-        )
+        raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
     found.sort(key=lambda s: s.index)
     return SolutionSet(tuple(found))

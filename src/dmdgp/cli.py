@@ -238,8 +238,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.tol <= 0:
-        raise CliError(EXIT_USAGE, "--tol must be positive")
     inst, _ = _load_instance(args.instance)
     internal = geometry.extract_internal(inst)
     sym = bp.symmetry_set(inst)
@@ -247,7 +245,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"symmetry set S = {{{', '.join(str(v) for v in sym.vertices)}}}, "
           f"predicted solutions 2^|S| = {sym.expansion_size}")
     try:
-        solutions = bp.branch_and_prune(inst, internal, tol=args.tol, mode=args.mode)
+        solutions = bp.branch_and_prune(inst, internal, mode=args.mode)
     except bp.NoSolutionError:
         print("no solution")
         return EXIT_NO_SOLUTION
@@ -488,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run branch-and-prune")
     p.add_argument("instance", help="instance JSON path")
     p.add_argument("--mode", choices=("all", "first"), default="all")
-    p.add_argument("--tol", type=float, default=bp.DEFAULT_PRUNE_TOL)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("grover", help="simulate the search on an instance")

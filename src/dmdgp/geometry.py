@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -197,81 +197,63 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
     return Conformation(points)
 
 
-def _misses(points: np.ndarray, x: np.ndarray, cut: tuple, tol: float) -> np.ndarray:
-    """Rows whose new x_v misses a prune edge (u, d) of `cut` by over `tol`."""
-    u, d = cut
-    dist = np.linalg.norm(points[..., u, :] - x[..., None, :], axis=-1)
-    return (np.abs(dist - d) > tol).any(axis=-1)
+def _sign_blocks(internal: InternalCoords,
+                 edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 delta: float = math.inf, order: tuple[int, int] = (0, 1)
+                 ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
+    """The one walk of the sign tree: (first, lows, points (K, n, 3), g (K,))
+    per block of leaves first + lows[j] with penalty g[j] < delta over
+    `edges` (from `edge_arrays`), depth first with children in `order`.
 
-
-def _sign_blocks(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
-                 tol: float = 0.0, order: tuple[int, int] = (0, 1)
-                 ) -> Iterator[tuple[int, Sequence[int], np.ndarray]]:
-    """The one walk of the sign tree: (first, lows, points (K, n, 3)) per
-    block of leaves first + lows[j] that keep every prune edge (u, v, d)
-    within `tol`, depth first with children in `order`.  Levels above the
-    last BLOCK_LEVELS go node by node on an explicit stack with one points
-    buffer, the rest double as array ops, Q <- (Q B_i^order[0], Q B_i^order[1])."""
+    Each row carries its partial penalty: placing vertex v adds `penalties`
+    over the edges whose later endpoint is v, and a row is dropped once the
+    sum reaches delta.  The terms are nonnegative, so the sum never
+    decreases and no leaf with g < delta is lost.  Levels above the last
+    BLOCK_LEVELS go node by node on an explicit stack with one points
+    buffer, the rest double as array ops, Q <- (Q B_i^order[0], Q B_i^order[1]).
+    """
     n = internal.n
     low = min(n - 3, BLOCK_LEVELS)
-    grouped: dict[int, list[tuple[int, float]]] = {}
-    for u, v, d in prune:
-        grouped.setdefault(v, []).append((u - 1, d))
-    cuts = {v: tuple(map(np.array, zip(*edges))) for v, edges in grouped.items()}
+    # the edges vertex i closes (vertex 3 closes those of the fixed root too)
+    later = np.maximum(edges[1], 2)
+    by_later = np.argsort(later, kind="stable")
+    grouped = [a[by_later] for a in edges]
+    starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
+    closes = {i: tuple(a[s:e] for a in grouped)
+              for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
     # B_i of the first and the second child, per branching vertex i
     branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in order])
                 for i in range(4, n + 1)}
     points = np.zeros((n, 3))
     q = np.eye(4) @ b_matrix(2, internal)
     points[1] = q[:3, 3]
-    # (vertex placed last, sign-word prefix, its transform Q)
-    stack = [(3, 0, q @ b_matrix(3, internal))]
+    q = q @ b_matrix(3, internal)
+    points[2] = q[:3, 3]
+    g = float(penalties(points[None], closes[3])[0])
+    # (vertex placed last, sign-word prefix, its transform Q, partial penalty)
+    stack = [(3, 0, q, g)]
     while stack:
-        i, prefix, q = stack.pop()
+        i, prefix, q, g = stack.pop()
         points[i - 1] = q[:3, 3]
         if i < n - low:
             for child in (1, 0):
                 q_next = q @ branches[i + 1][child]
-                if i + 1 not in cuts or not _misses(points, q_next[:3, 3], cuts[i + 1], tol):
-                    stack.append((i + 1, prefix << 1 | order[child], q_next))
+                points[i] = q_next[:3, 3]
+                g_next = g + float(penalties(points[None], closes[i + 1])[0])
+                if g_next < delta:
+                    stack.append((i + 1, prefix << 1 | order[child], q_next, g_next))
             continue
-        qs, block = q[None], points[None]
-        lows = None if not cuts and order == (0, 1) else np.zeros(1, dtype=np.intp)
+        qs, block, gs, lows = q[None], points[None], np.array([g]), np.zeros(1, dtype=np.intp)
         for v in range(i + 1, n + 1):
             qs = np.matmul(qs[:, None], branches[v]).reshape(-1, 4, 4)
             block = np.repeat(block, 2, axis=0)
             block[:, v - 1] = qs[:, :3, 3]
-            if lows is not None:
-                lows = (2 * lows[:, None] + order).ravel()
-            if v in cuts:
-                keep = ~_misses(block, qs[:, :3, 3], cuts[v], tol)
-                qs, block, lows = qs[keep], block[keep], lows[keep]
-        yield prefix << low, range(len(block)) if lows is None else lows.tolist(), block
-
-
-def sign_tree(internal: InternalCoords, prune: Iterable[tuple[int, int, float]] = (),
-              tol: float = 0.0, order: tuple[int, int] = (0, 1)
-              ) -> Iterator[tuple[int, np.ndarray]]:
-    """Depth-first walk of the torsion-sign tree, one leaf at a time.
-
-    Yields (index, points) for each leaf that passes every prune edge
-    (u, v, d): |x_u - x_v| within `tol` of d.  Children come in `order`,
-    so (0, 1) yields ascending indices.  A leaf's read-only points equal
-    `realize(internal, int_to_bits(index, n - 3)).points` bit for bit.
-    """
-    for first, lows, block in _sign_blocks(internal, prune, tol, order):
-        block.flags.writeable = False
-        for low, points in zip(lows, block):
-            yield first + low, points
-
-
-def leaf_blocks(internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
-    """Every leaf of the sign tree, ascending, in blocks (first, points) of
-    K = 2^min(n - 3, BLOCK_LEVELS) consecutive leaves: points (K, n, 3),
-    row j equal to `realize(internal, int_to_bits(first + j, n - 3)).points`
-    bit for bit."""
-    for first, _, block in _sign_blocks(internal):
-        yield first, block
+            gs = np.repeat(gs, 2) + penalties(block, closes[v])
+            lows = (2 * lows[:, None] + order).ravel()
+            keep = gs < delta
+            if not keep.all():
+                qs, block, gs, lows = qs[keep], block[keep], gs[keep], lows[keep]
+        yield prefix << low, lows.tolist(), block, gs
 
 
 def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -94,10 +94,6 @@ class DmdgpInstance:
         """Edges as (u, v, weight), sorted by (u, v)."""
         return [(u, v, d) for (u, v), d in sorted(self.edges.items())]
 
-    def long_range_edges(self) -> list[tuple[int, int, float]]:
-        """Edges {u, v} with v > u + 3 (the pruning edges)."""
-        return [(u, v, d) for (u, v), d in sorted(self.edges.items()) if v > u + 3]
-
 
 @dataclass(frozen=True)
 class Violation:

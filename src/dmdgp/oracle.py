@@ -20,10 +20,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitstrings import int_to_bits
-from .geometry import InternalCoords, edge_arrays, leaf_blocks, penalties, penalty, realize
+from .geometry import InternalCoords, _sign_blocks, edge_arrays, penalty, realize
 from .instance import DmdgpInstance
 
-DEFAULT_DELTA = 1e-4
+#: The one solution threshold: a candidate is a solution iff g < delta.
+#: Exact solutions have g near 1e-22 at most and measured non-solutions
+#: no less than 3e-6, so 1e-10 sits well inside the gap.
+DEFAULT_DELTA = 1e-10
 DEFAULT_EPSILON = 0.5
 
 #: Largest search space an exhaustive scan will walk by default.
@@ -88,15 +91,14 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
 
 def scan(inst: DmdgpInstance, internal: InternalCoords,
          scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, float]]:
-    """(k, g(h(k))) for every candidate k, ascending, with the penalties of
-    each block of `leaf_blocks` taken as array ops; raises ScanCapExceeded
-    before any work when 2^(n-3) > scan_cap."""
+    """(k, g(h(k))) for every candidate k, ascending, with g read off the
+    sign-tree walk run with no cut; raises ScanCapExceeded before any work
+    when 2^(n-3) > scan_cap."""
     size = 1 << (inst.n - 3)
     if size > scan_cap:
         raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
-    edges = edge_arrays(inst)
-    return ((first + j, g) for first, block in leaf_blocks(internal)
-            for j, g in enumerate(penalties(block, edges).tolist()))
+    return ((first + low, gk) for first, lows, _, g in _sign_blocks(internal, edge_arrays(inst))
+            for low, gk in zip(lows, g.tolist()))
 
 
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,

@@ -95,6 +95,7 @@ def test_criterion_2_iteration_formula():
 def test_criterion_3_oracle_property_suite(generated_instances):
     start = time.monotonic()
     assert len(generated_instances) >= 100
+    margin = math.inf
     for n, seed, p, inst, ground in generated_instances:
         internal = extract_internal(inst)
         params = oracle_params(n)
@@ -107,6 +108,7 @@ def test_criterion_3_oracle_property_suite(generated_instances):
             assert 0.0 <= norm <= 1.0, (n, seed, p, k, norm)
             # (b) threshold dichotomy at 1 - epsilon
             value = oracle_value(params, g)
+            margin = min(margin, abs(value + params.epsilon - 1.0))
             if g < params.delta:
                 assert value < 1.0 - params.epsilon, (n, seed, p, k, value)
                 marked.append(k)
@@ -130,7 +132,8 @@ def test_criterion_3_oracle_property_suite(generated_instances):
     print(
         f"\nPASS criterion 3: {len(generated_instances)} instances (n=4..12), "
         f"exhaustive scans confirm bound, dichotomy, BP agreement, 2^|S| "
-        f"cardinality, complement closure in {elapsed:.1f}s"
+        f"cardinality, complement closure in {elapsed:.1f}s; smallest floor "
+        f"margin |(g/p1)^(1/p2) + eps - 1| = {margin:.3f}"
     )
 
 

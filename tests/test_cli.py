@@ -1,11 +1,21 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmdgp import data_file, demo7_instance, generate, serialize_instance
+from dmdgp import (
+    branch_and_prune,
+    data_file,
+    demo7_instance,
+    expand_symmetry,
+    extract_internal,
+    generate,
+    serialize_instance,
+    symmetry_set,
+)
 from dmdgp.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -102,11 +112,11 @@ class TestSolve:
     def test_missing_file_is_io_error(self):
         assert main(["solve", "/nonexistent/inst.json"]) == EXIT_IO
 
-    def test_nonpositive_tol_is_usage_error(self, demo_path, capsys):
+    def test_tol_is_unknown_option(self, demo_path, capsys):
         assert main(["solve", demo_path, "--tol", "0"]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["dmdgp: error: --tol must be positive"]
+        assert err.splitlines()[-1] == "dmdgp: error: unrecognized arguments: --tol 0"
 
     def test_malformed_file_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -121,6 +131,20 @@ class TestGrover:
         assert "N=2^4=16" in out
         assert "marked M = 4" in out
         assert "closed form=1.000000000" in out
+
+    def test_near_solutions_are_not_marked(self, tmp_path, capsys):
+        # 404 and 619 have penalty 2.3e-5: below the old delta, not solutions
+        inst, gt = generate(13, 41003, 0.5)
+        path = tmp_path / "near.json"
+        path.write_text(serialize_instance(inst, gt), encoding="utf-8")
+        assert main(["grover", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "marked M = 2" in lines[1]
+        marked = {int(m) for m in re.findall(r"\((\d+)\)", lines[2])}
+        internal = extract_internal(inst)
+        first = branch_and_prune(inst, internal, mode="first").entries[0].bits
+        expanded = {int(b, 2) for b in expand_symmetry(first, symmetry_set(inst))}
+        assert marked == expanded == {427, 596}
 
     def test_zero_iterations_is_uniform(self, demo_path, capsys):
         assert main(["grover", demo_path, "--iters", "0", "--seed", "1"]) == EXIT_OK

@@ -15,10 +15,10 @@ from dmdgp import (
 from dmdgp.bitstrings import int_to_bits
 from dmdgp.geometry import (
     BLOCK_LEVELS,
+    _sign_blocks,
     _torsion_cosine,
-    leaf_blocks,
+    edge_arrays,
     quad_end_distance,
-    sign_tree,
 )
 from dmdgp.instance import DmdgpInstance, random_internal_coords
 
@@ -119,38 +119,47 @@ class TestRealize:
             realize(chain(6, 1), "01")
 
 
+def walk(inst, delta=math.inf, order=(0, 1)):
+    """(index, points, g) per leaf of the sign-tree walk over `inst`."""
+    ic = extract_internal(inst)
+    return [(first + low, pts, g)
+            for first, lows, block, gs in _sign_blocks(ic, edge_arrays(inst), delta, order)
+            for low, pts, g in zip(lows, block, gs.tolist())]
+
+
 class TestSignTree:
     def test_unpruned_walk_visits_every_leaf_in_order(self):
-        ic = chain(7, 4)
-        leaves = [(k, pts.copy()) for k, pts in sign_tree(ic)]
-        assert [k for k, _ in leaves] == list(range(16))
-        for k, pts in leaves:
-            assert np.array_equal(pts, realize(ic, int_to_bits(k, 4)).points)
+        inst, _ = generate(7, 4, 0.5)
+        ic = extract_internal(inst)
+        leaves = walk(inst)
+        assert [k for k, _, _ in leaves] == list(range(16))
+        for k, pts, g in leaves:
+            conf = realize(ic, int_to_bits(k, 4))
+            assert np.array_equal(pts, conf.points)
+            assert abs(g - penalty(conf, inst)) <= 1e-9 + 1e-12 * g
 
     def test_reversed_order_walks_descending(self):
-        assert [k for k, _ in sign_tree(chain(6, 1), order=(1, 0))] == [7, 6, 5, 4, 3, 2, 1, 0]
+        inst, _ = generate(6, 1, 0.5)
+        assert [k for k, _, _ in walk(inst, order=(1, 0))] == [7, 6, 5, 4, 3, 2, 1, 0]
 
     def test_prune_edge_cuts_subtrees(self):
         inst, gt = generate(8, 3, 1.0)
-        ic = extract_internal(inst)
-        kept = [k for k, _ in sign_tree(ic, inst.long_range_edges(), 1e-6)]
-        assert int(gt.bits, 2) in kept
+        kept = walk(inst, delta=1e-10)
+        assert int(gt.bits, 2) in [k for k, _, _ in kept]
         assert len(kept) < 1 << 5
-
-    def test_leaf_points_are_read_only(self):
-        _, pts = next(sign_tree(chain()))
-        with pytest.raises(ValueError):
-            pts[0, 0] = 1.0
+        assert all(g < 1e-10 for _, _, g in kept)
 
 
 class TestLeafBlocks:
     @pytest.mark.parametrize("levels", [BLOCK_LEVELS - 1, BLOCK_LEVELS, BLOCK_LEVELS + 1])
     def test_every_leaf_is_realize_bit_for_bit(self, levels):
-        ic = chain(levels + 3, levels)
+        inst, _ = generate(levels + 3, levels, 0.5)
+        ic = extract_internal(inst)
         seen = 0
-        for first, block in leaf_blocks(ic):
+        for first, lows, block, g in _sign_blocks(ic, edge_arrays(inst)):
             assert first == seen
-            assert block.shape == (1 << min(levels, BLOCK_LEVELS), levels + 3, 3)
+            assert lows == list(range(1 << min(levels, BLOCK_LEVELS)))
+            assert block.shape == (len(lows), levels + 3, 3) and g.shape == (len(lows),)
             for j, pts in enumerate(block):
                 assert np.array_equal(pts, realize(ic, int_to_bits(first + j, levels)).points)
             seen += len(block)

@@ -115,10 +115,15 @@ class TestMarkedSet:
             assert len(marked) == symmetry_set(inst).expansion_size
 
     def test_near_solutions_stay_marked(self):
-        # 225 and 286 are not solutions: their penalty 9.3e-6 is below delta
+        # 225 and 286 are not solutions: their penalty 9.3e-6 is below 1e-4
         inst, _ = generate(12, 405007, 0.5)
-        marked = marked_set(inst, extract_internal(inst), oracle_params(12))
+        internal = extract_internal(inst)
+        marked = marked_set(inst, internal, oracle_params(12, 1e-4))
         assert marked == (224, 225, 286, 287)
+        # the default delta lies below them, and marks what BP finds
+        marked = marked_set(inst, internal, oracle_params(12))
+        assert marked == (224, 287)
+        assert list(marked) == branch_and_prune(inst, internal).indices()
 
     def test_complement_closure(self):
         for seed in range(5):

@@ -1,7 +1,7 @@
 """Property tests over generated instances: the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
 `realize` and `penalty`, branch-and-prune keeps exactly the candidates
-that a per-candidate prune-edge and penalty check keeps, the symmetry
+with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, and the in-place
 Grover run agrees with the single-step reference `evolve` and the
 closed form."""
@@ -27,7 +27,7 @@ from dmdgp import (
     success_probability,
     symmetry_set,
 )
-from dmdgp.bp import DEFAULT_PENALTY_TOL, DEFAULT_PRUNE_TOL, SymmetrySet
+from dmdgp.bp import SymmetrySet
 from dmdgp.geometry import BLOCK_LEVELS
 from dmdgp.grover import evolve, uniform_state
 from dmdgp.oracle import scan
@@ -71,24 +71,23 @@ def test_bp_leaves_are_realize_bit_for_bit(generated, order):
 @example(generate(BLOCK_LEVELS + 2, 1, 0.5))
 @example(generate(BLOCK_LEVELS + 3, 2, 0.5))
 @example(generate(BLOCK_LEVELS + 4, 3, 0.5))
-# candidates 225 and 286 have penalty 9.3e-6 < 1e-4 but miss a long edge
+# candidates 225 and 286 have penalty 9.3e-6, between the two deltas
 @example(generate(12, 405007, 0.5))
+# candidates 404 and 619 have penalty 2.3e-5, between the two deltas
+@example(generate(13, 41003, 0.5))
 def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generated):
     inst, _ = generated
     internal = extract_internal(inst)
     width = inst.n - 3
-    expected = []
-    for k in range(1 << width):
-        conf = realize(internal, int_to_bits(k, width))
-        if penalty(conf, inst) < DEFAULT_PENALTY_TOL and all(
-                abs(conf.distance(u, v) - d) <= DEFAULT_PRUNE_TOL
-                for u, v, d in inst.long_range_edges()):
-            expected.append(k)
-    assert branch_and_prune(inst, internal).indices() == expected
-    assert branch_and_prune(inst, internal, branch_order=(1, 0)).indices() == expected
-    assert branch_and_prune(inst, internal, mode="first").indices() == expected[:1]
-    assert branch_and_prune(inst, internal, mode="first",
-                            branch_order=(1, 0)).indices() == expected[-1:]
+    g = [penalty(realize(internal, int_to_bits(k, width)), inst) for k in range(1 << width)]
+    for delta in (1e-4, 1e-10):
+        expected = [k for k in range(1 << width) if g[k] < delta]
+        assert list(marked_set(inst, internal, oracle_params(inst.n, delta))) == expected
+        assert branch_and_prune(inst, internal, delta).indices() == expected
+        assert branch_and_prune(inst, internal, delta, branch_order=(1, 0)).indices() == expected
+        assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
+        assert branch_and_prune(inst, internal, delta, mode="first",
+                                branch_order=(1, 0)).indices() == expected[-1:]
 
 
 @settings(max_examples=25, deadline=None)
