@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitstrings import bits_to_int, int_to_bits
 from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays
 from .instance import DmdgpInstance
@@ -55,16 +57,26 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    entries: tuple[Solution, ...]
+    """Walk rows, ascending: indices, read-only points (K, n, 3), penalties (K,)."""
+
+    index: tuple[int, ...]
+    points: np.ndarray
+    penalties: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
+
+    @property
+    def entries(self) -> tuple[Solution, ...]:
+        """The rows as `Solution`s, built on each read."""
+        return tuple(Solution(k, Conformation(pts), g)
+                     for k, pts, g in zip(self.index, self.points, self.penalties.tolist()))
 
     def bit_strings(self) -> list[str]:
-        return [s.bits for s in self.entries]
+        return [int_to_bits(k, self.points.shape[1] - 3) for k in self.index]
 
     def indices(self) -> list[int]:
-        return [s.index for s in self.entries]
+        return list(self.index)
 
 
 def symmetry_set(inst: DmdgpInstance) -> SymmetrySet:
@@ -105,29 +117,27 @@ def branch_and_prune(
     internal: InternalCoords,
     delta: float = DEFAULT_DELTA,
     mode: str = "all",
-    branch_order: tuple[int, int] = (0, 1),
 ) -> SolutionSet:
     """Depth-first search of the sign tree for the candidates with penalty
-    below delta.
+    below delta, in ascending index order.
 
     mode="first" stops at the first such leaf, mode="all" returns every
-    one.  The result is sorted by index regardless of the branch order
-    explored.
+    one.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if sorted(branch_order) != [0, 1]:
-        raise ValueError("branch_order must be a permutation of (0, 1)")
     limit = 1 if mode == "first" else None
-    found: list[Solution] = []
-    for first, lows, block, g in _sign_blocks(internal, edge_arrays(inst), delta, branch_order):
-        found += [Solution(first + low, Conformation(points), gk)
-                  for low, points, gk in zip(lows[:limit], block, g.tolist())]
-        if found and limit:
+    index, blocks, gs = [], [], []
+    for first, lows, block, g in _sign_blocks(internal, edge_arrays(inst), delta):
+        index += [first + low for low in lows[:limit]]
+        blocks.append(block[:limit])
+        gs.append(g[:limit])
+        if index and limit:
             break
-    if not found:
+    if not index:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
-    found.sort(key=lambda s: s.index)
-    return SolutionSet(tuple(found))
+    points = np.concatenate(blocks)
+    points.flags.writeable = False
+    return SolutionSet(tuple(index), points, np.concatenate(gs))

@@ -16,6 +16,7 @@ realizes).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -250,8 +251,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("no solution")
         return EXIT_NO_SOLUTION
     print(f"solutions found: {len(solutions)}")
-    for sol in solutions.entries:
-        print(f"  bits={sol.bits}  index={sol.index}  penalty={sol.penalty:.3e}")
+    for k, g in zip(solutions.index, solutions.penalties.tolist()):
+        print(f"  bits={int_to_bits(k, inst.n - 3)}  index={k}  penalty={g:.3e}")
     return EXIT_OK
 
 
@@ -457,12 +458,12 @@ def cmd_oracle_scan(args: argparse.Namespace) -> int:
           f"p1={params.p1:.0f}, p2={params.p2:.4f}")
     print("k     bits      g(h(k))        g/p1           (g/p1)^(1/p2)  f")
     n_marked = 0
-    for k, g in rows:
-        value = oracle.oracle_value(params, g)
-        f = oracle.oracle_bit(params, g)
-        n_marked += f
-        print(f"{k:<5d} {int_to_bits(k, n_bits):8s}  {g:<13.6e}  {g / params.p1:<13.6e}  "
-              f"{value:<13.6e}  {f}")
+    for first, g in rows:
+        values, f = oracle.oracle_value(params, g).tolist(), oracle.oracle_bit(params, g).tolist()
+        for k, gk, value, fk in zip(range(first, first + g.size), g.tolist(), values, f):
+            n_marked += fk
+            print(f"{k:<5d} {int_to_bits(k, n_bits):8s}  {gk:<13.6e}  {gk / params.p1:<13.6e}  "
+                  f"{value:<13.6e}  {fk}")
     print(f"marked: {n_marked} of {1 << n_bits}")
     return EXIT_OK
 
@@ -471,7 +472,10 @@ def cmd_oracle_scan(args: argparse.Namespace) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; each `parse_args` call
+    still returns a fresh namespace."""
     parser = _Parser(prog="dmdgp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -199,18 +199,18 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
 
 def _sign_blocks(internal: InternalCoords,
                  edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 delta: float = math.inf, order: tuple[int, int] = (0, 1)
+                 delta: float = math.inf
                  ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
     """The one walk of the sign tree: (first, lows, points (K, n, 3), g (K,))
     per block of leaves first + lows[j] with penalty g[j] < delta over
-    `edges` (from `edge_arrays`), depth first with children in `order`.
+    `edges` (from `edge_arrays`), depth first and 0 child first, so ascending.
 
     Each row carries its partial penalty: placing vertex v adds `penalties`
     over the edges whose later endpoint is v, and a row is dropped once the
     sum reaches delta.  The terms are nonnegative, so the sum never
     decreases and no leaf with g < delta is lost.  Levels above the last
     BLOCK_LEVELS go node by node on an explicit stack with one points
-    buffer, the rest double as array ops, Q <- (Q B_i^order[0], Q B_i^order[1]).
+    buffer, the rest double as array ops, Q <- (Q B_i^0, Q B_i^1).
     """
     n = internal.n
     low = min(n - 3, BLOCK_LEVELS)
@@ -221,8 +221,8 @@ def _sign_blocks(internal: InternalCoords,
     starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
     closes = {i: tuple(a[s:e] for a in grouped)
               for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
-    # B_i of the first and the second child, per branching vertex i
-    branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in order])
+    # B_i of the 0 and the 1 child, per branching vertex i
+    branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in (0, 1)])
                 for i in range(4, n + 1)}
     points = np.zeros((n, 3))
     q = np.eye(4) @ b_matrix(2, internal)
@@ -241,7 +241,7 @@ def _sign_blocks(internal: InternalCoords,
                 points[i] = q_next[:3, 3]
                 g_next = g + float(penalties(points[None], closes[i + 1])[0])
                 if g_next < delta:
-                    stack.append((i + 1, prefix << 1 | order[child], q_next, g_next))
+                    stack.append((i + 1, prefix << 1 | child, q_next, g_next))
             continue
         qs, block, gs, lows = q[None], points[None], np.array([g]), np.zeros(1, dtype=np.intp)
         for v in range(i + 1, n + 1):
@@ -249,7 +249,7 @@ def _sign_blocks(internal: InternalCoords,
             block = np.repeat(block, 2, axis=0)
             block[:, v - 1] = qs[:, :3, 3]
             gs = np.repeat(gs, 2) + penalties(block, closes[v])
-            lows = (2 * lows[:, None] + order).ravel()
+            lows = (2 * lows[:, None] + (0, 1)).ravel()
             keep = gs < delta
             if not keep.all():
                 qs, block, gs, lows = qs[keep], block[keep], gs[keep], lows[keep]

@@ -326,9 +326,13 @@ def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, G
     for u, v in clique_pairs(n):
         edges[(u, v)] = conf.distance(u, v)
     for i in range(5, n + 1):
-        for j in range(1, i - 3):
+        # distances from vertex i to 1..i-4: sqrt(x . x) per difference row
+        # through matmul is bit for bit `Conformation.distance`'s norm, which
+        # einsum and norm(axis=...) are not
+        diff = conf.points[:i - 4] - conf.points[i - 1]
+        row = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
+        for j, d in enumerate(row.tolist(), start=1):
             coin = rng.random()
-            d = conf.distance(j, i)
             if MIN_PAIR_DISTANCE <= d <= MAX_DISTANCE and coin < long_edge_prob:
                 edges[(j, i)] = d
     return DmdgpInstance(n, edges), GroundTruth(bits, conf)

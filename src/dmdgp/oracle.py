@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .bitstrings import int_to_bits
 from .geometry import InternalCoords, _sign_blocks, edge_arrays, penalty, realize
 from .instance import DmdgpInstance
@@ -66,18 +68,16 @@ def oracle_params(n: int, delta: float = DEFAULT_DELTA,
     return OracleParams(n=n, delta=delta, epsilon=epsilon, p1=p1, p2=p2)
 
 
-def oracle_value(params: OracleParams, g: float) -> float:
-    """(g / p1)^(1/p2), with g = 0 mapping to 0."""
-    if g < 0:
+def oracle_value(params: OracleParams, g: float | np.ndarray) -> float | np.ndarray:
+    """(g / p1)^(1/p2) of a penalty or, elementwise, of an array of them."""
+    if np.any(np.less(g, 0)):
         raise ValueError("penalty cannot be negative")
-    if g == 0.0:
-        return 0.0
-    return (g / params.p1) ** (1.0 / params.p2)
+    return np.power(g / params.p1, 1.0 / params.p2)
 
 
-def oracle_bit(params: OracleParams, g: float) -> int:
-    """1 - floor(oracle_value + epsilon): 1 iff g < delta."""
-    return 1 - math.floor(oracle_value(params, g) + params.epsilon)
+def oracle_bit(params: OracleParams, g: float | np.ndarray) -> int | np.ndarray:
+    """1 - floor(oracle_value + epsilon): 1 iff g < delta, elementwise."""
+    return 1 - np.floor(oracle_value(params, g) + params.epsilon).astype(int)
 
 
 def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
@@ -86,19 +86,18 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     if params.n != inst.n:
         raise ValueError(f"params built for n={params.n}, instance has n={inst.n}")
     bits = int_to_bits(k, inst.n - 3)
-    return oracle_bit(params, penalty(realize(internal, bits), inst))
+    return int(oracle_bit(params, penalty(realize(internal, bits), inst)))
 
 
 def scan(inst: DmdgpInstance, internal: InternalCoords,
-         scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, float]]:
-    """(k, g(h(k))) for every candidate k, ascending, with g read off the
-    sign-tree walk run with no cut; raises ScanCapExceeded before any work
-    when 2^(n-3) > scan_cap."""
+         scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, np.ndarray]]:
+    """(first, g) per block of the sign-tree walk run with no cut, where g[j]
+    is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order; raises
+    ScanCapExceeded before any work when 2^(n-3) > scan_cap."""
     size = 1 << (inst.n - 3)
     if size > scan_cap:
         raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
-    return ((first + low, gk) for first, lows, _, g in _sign_blocks(internal, edge_arrays(inst))
-            for low, gk in zip(lows, g.tolist()))
+    return ((first, g) for first, _, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,
@@ -106,4 +105,5 @@ def marked_set(inst: DmdgpInstance, internal: InternalCoords,
     """All candidate indices with f(k) = 1, ascending."""
     if params.n != inst.n:
         raise ValueError(f"params built for n={params.n}, instance has n={inst.n}")
-    return tuple(k for k, g in scan(inst, internal, scan_cap) if oracle_bit(params, g) == 1)
+    return tuple(first + j for first, g in scan(inst, internal, scan_cap)
+                 for j in np.flatnonzero(oracle_bit(params, g)).tolist())

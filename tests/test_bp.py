@@ -108,14 +108,6 @@ class TestBranchAndPrune:
         for bits in expand_symmetry(gt.bits, sym):
             assert penalty(realize(internal, bits), inst) < 1e-4
 
-    def test_branch_order_does_not_change_the_set(self):
-        for seed in range(4):
-            inst, _ = generate(8, seed, 0.5)
-            internal = extract_internal(inst)
-            a = branch_and_prune(inst, internal, branch_order=(0, 1))
-            b = branch_and_prune(inst, internal, branch_order=(1, 0))
-            assert a.bit_strings() == b.bit_strings()
-
     def test_solution_penalties_below_tolerance(self):
         inst, _ = generate(9, 8, 0.6)
         sols = branch_and_prune(inst, extract_internal(inst))

@@ -119,11 +119,11 @@ class TestRealize:
             realize(chain(6, 1), "01")
 
 
-def walk(inst, delta=math.inf, order=(0, 1)):
+def walk(inst, delta=math.inf):
     """(index, points, g) per leaf of the sign-tree walk over `inst`."""
     ic = extract_internal(inst)
     return [(first + low, pts, g)
-            for first, lows, block, gs in _sign_blocks(ic, edge_arrays(inst), delta, order)
+            for first, lows, block, gs in _sign_blocks(ic, edge_arrays(inst), delta)
             for low, pts, g in zip(lows, block, gs.tolist())]
 
 
@@ -137,10 +137,6 @@ class TestSignTree:
             conf = realize(ic, int_to_bits(k, 4))
             assert np.array_equal(pts, conf.points)
             assert abs(g - penalty(conf, inst)) <= 1e-9 + 1e-12 * g
-
-    def test_reversed_order_walks_descending(self):
-        inst, _ = generate(6, 1, 0.5)
-        assert [k for k, _, _ in walk(inst, order=(1, 0))] == [7, 6, 5, 4, 3, 2, 1, 0]
 
     def test_prune_edge_cuts_subtrees(self):
         inst, gt = generate(8, 3, 1.0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,21 @@ class TestGenerate:
         inst, gt = generate(8, 21, 0.6)
         conf = realize(extract_internal(inst), gt.bits)
         assert np.allclose(conf.points, gt.conformation.points, atol=1e-9)
+
+    # SHA-256 of generated documents: a change to the draws, the distance
+    # arithmetic or the edge order shows here
+    @pytest.mark.parametrize("n, seed, p, digest", [
+        (4, 0, 0.5, "8d602801d56ce1d48a72f3e4029b4ef4f96ef0cdb3663116fd2d7e73c4791bd9"),
+        (9, 3, 1.0, "e641cb136bae66a78cb3660a6aa8b1909c658f2a3e04dff8dcf0b6c0c5193205"),
+        (12, 405007, 0.5, "5962f5d8f2a8d1bce2bcfed14ee2a58148a2743f0a44d7e4e2b67449d1daa636"),
+        (40, 7, 0.3, "dfd4263c9aa8e66bbe3df25eded9785b20aaf1aea7f77725df96ba4e6b11fefe"),
+        (150, 11, 0.05, "b8a61457cad4e2f66658a71d2cb6f786e8b7a908ccc926cd1567f19cbeffc75d"),
+        (300, 1005, 0.5, "b8825114a088aadac246fa427644344e238e903e2ba1181986437e9ba1c6a995"),
+        (600, 2018, 0.5, "4c7ec7f8d19d34db81d639124100443a501526598f876a339cafdf37a6c3a263"),
+    ])
+    def test_documents_are_pinned(self, n, seed, p, digest):
+        text = serialize_instance(*generate(n, seed, p))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dmdgp import (
@@ -87,6 +88,23 @@ class TestEval:
             if g > params.p1:
                 continue
             assert oracle_bit(params, g) == (1 if g < params.delta else 0)
+
+    def test_array_evaluation_equals_scalar_calls(self):
+        params = oracle_params(7, delta=1e-4, epsilon=0.5)
+        # penalties from 0 up to near p1 = 1.5e8, across the threshold
+        scale = 10.0 ** np.arange(-20, 8, 0.1)
+        g = np.concatenate([[0.0], np.random.default_rng(7).random(scale.size) * scale])
+        values, bits = oracle_value(params, g), oracle_bit(params, g)
+        assert values.shape == bits.shape == g.shape
+        assert bits[0] == 1 and values[0] == 0.0
+        for gk, value, bit in zip(g.tolist(), values, bits):
+            assert value == oracle_value(params, gk)
+            assert bit == oracle_bit(params, gk)
+
+    def test_negative_penalty_rejected(self):
+        params = oracle_params(7)
+        with pytest.raises(ValueError, match="negative"):
+            oracle_value(params, np.array([0.0, -1e-30]))
 
     def test_mismatched_params_rejected(self):
         inst, _ = generate(7, 1, 0.5)

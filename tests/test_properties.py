@@ -1,4 +1,5 @@
-"""Property tests over generated instances: the sign-tree walk and the
+"""Property tests over generated instances: the generator's distances
+are the per-pair `Conformation.distance`, the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
 `realize` and `penalty`, branch-and-prune keeps exactly the candidates
 with penalty below delta, which the oracle marks, the symmetry
@@ -30,6 +31,7 @@ from dmdgp import (
 from dmdgp.bp import SymmetrySet
 from dmdgp.geometry import BLOCK_LEVELS
 from dmdgp.grover import evolve, uniform_state
+from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
 from dmdgp.oracle import scan
 
 instances = st.builds(
@@ -54,13 +56,20 @@ def test_marked_set_equals_per_candidate_oracle(generated):
 
 
 @settings(max_examples=40, deadline=None)
-@given(instances, st.sampled_from([(0, 1), (1, 0)]))
-def test_bp_leaves_are_realize_bit_for_bit(generated, order):
+@given(instances, st.sampled_from(["all", "first"]))
+def test_bp_leaves_are_realize_bit_for_bit(generated, mode):
     inst, _ = generated
     internal = extract_internal(inst)
-    for sol in branch_and_prune(inst, internal, branch_order=order).entries:
-        assert np.array_equal(sol.conformation.points,
-                              realize(internal, sol.bits).points)
+    sols = branch_and_prune(inst, internal, mode=mode)
+    assert not sols.points.flags.writeable
+    assert len(sols.index) == len(sols.points) == len(sols.penalties) == len(sols.entries)
+    for k, pts, g, sol in zip(sols.index, sols.points, sols.penalties, sols.entries):
+        conf = realize(internal, int_to_bits(k, inst.n - 3))
+        assert np.array_equal(pts, conf.points)
+        expected = penalty(conf, inst)
+        assert abs(g - expected) <= 1e-9 + 1e-12 * expected
+        assert (sol.index, sol.penalty) == (k, g)
+        assert np.array_equal(sol.conformation.points, conf.points)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,10 +93,7 @@ def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generate
         expected = [k for k in range(1 << width) if g[k] < delta]
         assert list(marked_set(inst, internal, oracle_params(inst.n, delta))) == expected
         assert branch_and_prune(inst, internal, delta).indices() == expected
-        assert branch_and_prune(inst, internal, delta, branch_order=(1, 0)).indices() == expected
         assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
-        assert branch_and_prune(inst, internal, delta, mode="first",
-                                branch_order=(1, 0)).indices() == expected[-1:]
 
 
 @settings(max_examples=25, deadline=None)
@@ -99,7 +105,8 @@ def test_block_scan_equals_per_candidate_references(generated):
     inst, _ = generated
     internal = extract_internal(inst)
     params = oracle_params(inst.n)
-    rows = list(scan(inst, internal))
+    rows = [(first + j, g) for first, block in scan(inst, internal)
+            for j, g in enumerate(block.tolist())]
     assert [k for k, _ in rows] == list(range(1 << (inst.n - 3)))
     for k, g in rows:
         expected = penalty(realize(internal, int_to_bits(k, inst.n - 3)), inst)
@@ -107,6 +114,19 @@ def test_block_scan_equals_per_candidate_references(generated):
     assert list(marked_set(inst, internal, params)) == [
         k for k, _ in rows if oracle_eval(inst, internal, params, k) == 1
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(0, 2**32 - 1))
+def test_generated_distances_are_per_pair_norms_bit_for_bit(n, seed):
+    # at long_edge_prob 1 every pair inside the window is an edge, so the
+    # edge map is fixed by the ground truth's per-pair distances
+    inst, gt = generate(n, seed, 1.0)
+    d = gt.conformation.distance
+    expected = {(u, v): d(u, v) for u, v in clique_pairs(n)}
+    expected.update({(j, i): d(j, i) for i in range(5, n + 1) for j in range(1, i - 3)
+                     if MIN_PAIR_DISTANCE <= d(j, i) <= MAX_DISTANCE})
+    assert list(inst.edges.items()) == list(expected.items())
 
 
 @settings(max_examples=60, deadline=None)
