@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bp, geometry, grover, metrics, oracle
-from .bitstrings import int_to_bits
+from .bitstrings import all_bits, int_to_bits
 from .instance import (
     DmdgpInstance,
     GroundTruth,
@@ -157,11 +157,10 @@ def _load_distribution(path: str) -> np.ndarray:
 def histogram_text(labels: Sequence[str], values: np.ndarray, width: int = 40) -> str:
     peak = float(values.max()) if len(values) else 1.0
     scale = width / peak if peak > 0 else 0.0
-    lines = []
-    for label, v in zip(labels, values):
-        bar = "#" * max(0, round(float(v) * scale))
-        lines.append(f"  {label}  {float(v):9.6f}  {bar}")
-    return "\n".join(lines)
+    # np.rint rounds half to even, as Python's round does
+    bars = np.maximum(np.rint(values * scale), 0).astype(int).tolist()
+    return "\n".join(map("  {}  {:9.6f}  {}".format, labels, values.tolist(),
+                         map("#".__mul__, bars)))
 
 
 def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]],
@@ -295,13 +294,15 @@ class RunReport:
 
 def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
                shots: int, seed: int, noise: float) -> RunReport:
-    """Oracle enumeration, iteration planning, evolution, sampling, scoring."""
+    """Branch-and-prune for the marked set, iteration planning, evolution,
+    sampling, scoring.
+
+    The scan cap bounds the N-length arrays and the N-row report, so it is
+    checked before the search runs.
+    """
     internal = geometry.extract_internal(inst)
-    params = oracle.oracle_params(inst.n)
-    marked = oracle.marked_set(inst, internal, params)
-    if not marked:
-        raise bp.NoSolutionError("oracle marks no candidate")
-    N = 1 << (inst.n - 3)
+    N = oracle.check_scan_cap(inst.n)
+    marked = bp.branch_and_prune(inst, internal).index
     if len(marked) == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
     plan = grover.iteration_count(N, len(marked), mode=iter_mode)
@@ -329,12 +330,14 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
 def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarray) -> str:
     n_bits = report.n - 3
     marked = set(report.marked)
+    stars = [""] * report.N
+    for m in report.marked:
+        stars[m] = " *"
     lines = [
         f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
         f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
         f"2^|S| = {1 << len(report.symmetry_vertices)}, marked M = {len(report.marked)}",
-        "marked candidates: "
-        + ", ".join(f"{int_to_bits(m, n_bits)}({m})" for m in report.marked),
+        "marked candidates: " + ", ".join(f"{labels[m]}({m})" for m in report.marked),
         f"plan: mode={report.plan.mode}, theta={report.plan.theta:.6f}, "
         f"k_raw={report.plan.k_raw:.4f}, k={report.iters}"
         + ("" if report.iters == report.plan.k else " (explicit)"),
@@ -348,11 +351,8 @@ def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarra
         f"frequency={float(sum(freqs[m] for m in report.marked)):.6f}"
     )
     lines.append("outcome     sampled      ideal")
-    for i in range(report.N):
-        star = " *" if i in marked else ""
-        lines.append(
-            f"  {labels[i]}  {freqs[i]:9.6f}  {report.ideal.probabilities[i]:9.6f}{star}"
-        )
+    lines += map("  {}  {:9.6f}  {:9.6f}{}".format, labels, freqs.tolist(),
+                 report.ideal.probabilities.tolist(), stars)
     q = report.quality
     lines.append(
         f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
@@ -378,7 +378,7 @@ def cmd_grover(args: argparse.Namespace) -> int:
     except bp.NoSolutionError:
         print("oracle marks no candidate (inconsistent instance)")
         return EXIT_NO_SOLUTION
-    labels = [int_to_bits(i, report.n - 3) for i in range(report.N)]
+    labels = all_bits(report.n - 3)
     freqs = report.counts.frequencies()
     print(render_run_report(report, labels, freqs))
     if args.svg:

@@ -10,7 +10,13 @@ other one into [1 - eps, 1], which makes
 
     f(k) = 1 - floor((g(h(k)) / p1)^(1/p2) + eps)
 
-an exact indicator of g(h(k)) < delta.
+an indicator of g(h(k)) < delta.  It is exact except within a few ulps
+of delta: p2 comes from two rounded logs, so a penalty that close to
+delta can fall on the wrong side of 1 - eps (the largest double below
+1e-4 gives exactly 1 - eps at n = 7).  `dmdgp grover` therefore
+marks by branch-and-prune, whose test is the walk's exact g < delta;
+`oracle-scan` tabulates f itself, and `marked_set` is the exhaustive
+scan of f that the tests compare branch-and-prune against.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .instance import DmdgpInstance
 DEFAULT_DELTA = 1e-10
 DEFAULT_EPSILON = 0.5
 
-#: Largest search space an exhaustive scan will walk by default.
+#: Largest search space an exhaustive scan will walk by default, and the
+#: largest `dmdgp grover` holds as N-length arrays and prints as N rows.
 DEFAULT_SCAN_CAP = 1 << 24
 
 
@@ -89,14 +96,20 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     return int(oracle_bit(params, penalty(realize(internal, bits), inst)))
 
 
+def check_scan_cap(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
+    """The search space size 2^(n-3); raises ScanCapExceeded if it exceeds scan_cap."""
+    size = 1 << (n - 3)
+    if size > scan_cap:
+        raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
+    return size
+
+
 def scan(inst: DmdgpInstance, internal: InternalCoords,
          scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, np.ndarray]]:
     """(first, g) per block of the sign-tree walk run with no cut, where g[j]
     is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order; raises
     ScanCapExceeded before any work when 2^(n-3) > scan_cap."""
-    size = 1 << (inst.n - 3)
-    if size > scan_cap:
-        raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
+    check_scan_cap(inst.n, scan_cap)
     return ((first, g) for first, _, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 

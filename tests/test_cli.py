@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -27,6 +28,7 @@ from dmdgp.cli import (
     run_search,
     save_distribution_csv,
 )
+from dmdgp.bitstrings import all_bits, int_to_bits
 from dmdgp.instance import ParseError
 
 
@@ -194,6 +196,35 @@ class TestGrover:
         expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 
+    # SHA-256 of the stdout; its two N-row tables are most of its 31-130 KB
+    @pytest.mark.parametrize("n, seed, flags, digest", [
+        (12, 1, ["--seed", "5"],
+         "d171ba0a2ab0e2cfb2f3afd96414f504b67567d7d9b70f89d623f89781089e2c"),
+        (12, 1, ["--noise", "0.3", "--seed", "5"],
+         "da251c279a08517d91a292869a38e837922c0704307d5a225ea8874d231fd94c"),
+        (13, 2, ["--seed", "5"],
+         "ac5b8f79ec2dc8285829c83f3e731c02ee6f39d14ff63848868b0b7c7c68b805"),
+        (13, 2, ["--noise", "0.3", "--seed", "5"],
+         "9a58d3e53c800bed6061b12c42b7c31dae3c4c3ba1b8bc083efdc2a270577616"),
+        (14, 3, ["--seed", "5"],
+         "458e0ebbb154cc6c71957c8825708ece7a74e2cd6cf208bd174716fd16eb9cbb"),
+        (14, 3, ["--noise", "0.3", "--seed", "5"],
+         "daac97ee5cd32df87006c42f7026c4d58ffad20aca794f74bd562d35c340dc20"),
+    ])
+    def test_generated_output_is_pinned(self, tmp_path, capsys, n, seed, flags, digest):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(*generate(n, seed, 0.5)), encoding="utf-8")
+        assert main(["grover", str(path), *flags]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_generated_svg_is_pinned(self, tmp_path, capsys):
+        path, svg = tmp_path / "inst.json", tmp_path / "hist.svg"
+        path.write_text(serialize_instance(*generate(13, 2, 0.5)), encoding="utf-8")
+        assert main(["grover", str(path), "--seed", "5", "--svg", str(svg)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(f"wrote histogram to {svg}\n")
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "9d5018921c8b744d15ea4ec4e06a044cf6787bd69f7ee2fabd37045e96f722bd")
+
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
@@ -218,6 +249,11 @@ class TestGrover:
         assert err.splitlines() == [
             "dmdgp: error: oracle marks all 8 candidates: nothing to amplify"
         ]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 10, 13])
+def test_outcome_labels_equal_per_index_formatting(width):
+    assert all_bits(width) == [int_to_bits(k, width) for k in range(1 << width)]
 
 
 class TestUnrealizableInstance:

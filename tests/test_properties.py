@@ -3,13 +3,16 @@ are the per-pair `Conformation.distance`, the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
 `realize` and `penalty`, branch-and-prune keeps exactly the candidates
 with penalty below delta, which the oracle marks, the symmetry
-set and its expansion agree with their definitions, and the in-place
+set and its expansion agree with their definitions, the marked set
+`dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
+and the in-place
 Grover run agrees with the single-step reference `evolve` and the
 closed form."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from dmdgp import (
     symmetry_set,
 )
 from dmdgp.bp import SymmetrySet
+from dmdgp.cli import CliError, run_search
 from dmdgp.geometry import BLOCK_LEVELS
 from dmdgp.grover import evolve, uniform_state
 from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
@@ -94,6 +98,24 @@ def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generate
         assert list(marked_set(inst, internal, oracle_params(inst.n, delta))) == expected
         assert branch_and_prune(inst, internal, delta).indices() == expected
         assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)))
+# near-solutions with penalty 9.3e-6 and 2.3e-5: marked at delta 1e-4 only
+@example(generate(12, 405007, 0.5))
+@example(generate(13, 41003, 0.5))
+def test_grover_marks_the_exhaustive_marked_set(generated):
+    inst, _ = generated
+    expected = marked_set(inst, extract_internal(inst), oracle_params(inst.n))
+    if len(expected) == 1 << (inst.n - 3):
+        with pytest.raises(CliError, match="nothing to amplify"):
+            run_search(inst, None, "nearest", 64, 0, 0.0)
+        return
+    report = run_search(inst, None, "nearest", 64, 0, 0.0)
+    assert report.marked == expected
+    assert report.plan.M == len(report.marked)
 
 
 @settings(max_examples=25, deadline=None)
