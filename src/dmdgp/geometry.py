@@ -208,9 +208,10 @@ def _sign_blocks(internal: InternalCoords,
     Each row carries its partial penalty: placing vertex v adds `penalties`
     over the edges whose later endpoint is v, and a row is dropped once the
     sum reaches delta.  The terms are nonnegative, so the sum never
-    decreases and no leaf with g < delta is lost.  Levels above the last
-    BLOCK_LEVELS go node by node on an explicit stack with one points
-    buffer, the rest double as array ops, Q <- (Q B_i^0, Q B_i^1).
+    decreases and no leaf with g < delta is lost.  One doubling step places
+    every vertex past the root, Q <- (Q B_v^0, Q B_v^1) per row: a node above
+    the last BLOCK_LEVELS levels is a one-row block on an explicit stack, and
+    the levels below double the popped block.
     """
     n = internal.n
     low = min(n - 3, BLOCK_LEVELS)
@@ -224,31 +225,31 @@ def _sign_blocks(internal: InternalCoords,
     # B_i of the 0 and the 1 child, per branching vertex i
     branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in (0, 1)])
                 for i in range(4, n + 1)}
-    points = np.zeros((n, 3))
-    q = np.eye(4) @ b_matrix(2, internal)
-    points[1] = q[:3, 3]
-    q = q @ b_matrix(3, internal)
-    points[2] = q[:3, 3]
-    g = float(penalties(points[None], closes[3])[0])
-    # (vertex placed last, sign-word prefix, its transform Q, partial penalty)
-    stack = [(3, 0, q, g)]
+
+    def double(qs, block, gs, v):
+        """K rows -> 2K: the 0 and the 1 child of each row at vertex v."""
+        qs = np.matmul(qs[:, None], branches[v]).reshape(-1, 4, 4)
+        block = np.repeat(block, 2, axis=0)
+        block[:, v - 1] = qs[:, :3, 3]
+        return qs, block, np.repeat(gs, 2) + penalties(block, closes[v])
+
+    # the fixed root: x1 at the origin, x2 and x3 from B_2 and B_2 B_3
+    q2 = b_matrix(2, internal)
+    q = q2 @ b_matrix(3, internal)
+    block = np.zeros((1, n, 3))
+    block[0, 1:3] = q2[:3, 3], q[:3, 3]
+    # (vertex placed last, sign-word prefix, then Q, points and g of one row)
+    stack = [(3, 0, q[None], block, penalties(block, closes[3]))]
     while stack:
-        i, prefix, q, g = stack.pop()
-        points[i - 1] = q[:3, 3]
+        i, prefix, qs, block, gs = stack.pop()
         if i < n - low:
-            for child in (1, 0):
-                q_next = q @ branches[i + 1][child]
-                points[i] = q_next[:3, 3]
-                g_next = g + float(penalties(points[None], closes[i + 1])[0])
-                if g_next < delta:
-                    stack.append((i + 1, prefix << 1 | child, q_next, g_next))
+            qs, block, gs = double(qs, block, gs, i + 1)
+            stack += [(i + 1, prefix << 1 | c, qs[c:c + 1], block[c:c + 1], gs[c:c + 1])
+                      for c in (1, 0) if gs[c] < delta]
             continue
-        qs, block, gs, lows = q[None], points[None], np.array([g]), np.zeros(1, dtype=np.intp)
+        lows = np.zeros(1, dtype=np.intp)
         for v in range(i + 1, n + 1):
-            qs = np.matmul(qs[:, None], branches[v]).reshape(-1, 4, 4)
-            block = np.repeat(block, 2, axis=0)
-            block[:, v - 1] = qs[:, :3, 3]
-            gs = np.repeat(gs, 2) + penalties(block, closes[v])
+            qs, block, gs = double(qs, block, gs, v)
             lows = (2 * lows[:, None] + (0, 1)).ravel()
             keep = gs < delta
             if not keep.all():

@@ -37,7 +37,7 @@ from .instance import DmdgpInstance
 DEFAULT_DELTA = 1e-10
 DEFAULT_EPSILON = 0.5
 
-#: Largest search space an exhaustive scan will walk by default, and the
+#: Largest search space an exhaustive scan will walk, and the
 #: largest `dmdgp grover` holds as N-length arrays and prints as N rows.
 DEFAULT_SCAN_CAP = 1 << 24
 
@@ -62,10 +62,10 @@ def oracle_params(n: int, delta: float = DEFAULT_DELTA,
     """Build parameters for an n-vertex search, checking the hypotheses."""
     if n < 4:
         raise ValueError(f"vertex count must be >= 4, got {n}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0.0 < 1.0 - epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1) with 1 - epsilon < 1 in float64, got {epsilon}")
     if delta + epsilon >= 1:
         raise ValueError(
             f"hypothesis violated: delta + epsilon = {delta + epsilon} must be < 1"
@@ -96,27 +96,26 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     return int(oracle_bit(params, penalty(realize(internal, bits), inst)))
 
 
-def check_scan_cap(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
-    """The search space size 2^(n-3); raises ScanCapExceeded if it exceeds scan_cap."""
+def check_scan_cap(n: int) -> int:
+    """The search space size 2^(n-3); raises ScanCapExceeded above DEFAULT_SCAN_CAP."""
     size = 1 << (n - 3)
-    if size > scan_cap:
-        raise ScanCapExceeded(f"search space {size} exceeds scan cap {scan_cap}")
+    if size > DEFAULT_SCAN_CAP:
+        raise ScanCapExceeded(f"search space {size} exceeds scan cap {DEFAULT_SCAN_CAP}")
     return size
 
 
-def scan(inst: DmdgpInstance, internal: InternalCoords,
-         scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, np.ndarray]]:
+def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
     """(first, g) per block of the sign-tree walk run with no cut, where g[j]
     is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order; raises
-    ScanCapExceeded before any work when 2^(n-3) > scan_cap."""
-    check_scan_cap(inst.n, scan_cap)
+    ScanCapExceeded before any work when 2^(n-3) > DEFAULT_SCAN_CAP."""
+    check_scan_cap(inst.n)
     return ((first, g) for first, _, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,
-               params: OracleParams, scan_cap: int = DEFAULT_SCAN_CAP) -> tuple[int, ...]:
+               params: OracleParams) -> tuple[int, ...]:
     """All candidate indices with f(k) = 1, ascending."""
     if params.n != inst.n:
         raise ValueError(f"params built for n={params.n}, instance has n={inst.n}")
-    return tuple(first + j for first, g in scan(inst, internal, scan_cap)
+    return tuple(first + j for first, g in scan(inst, internal)
                  for j in np.flatnonzero(oracle_bit(params, g)).tolist())

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dmdgp import (
@@ -16,6 +18,7 @@ from dmdgp import (
 )
 from dmdgp.bp import SymmetrySet
 from dmdgp.instance import clique_pairs, generate_from_topology
+from dmdgp.oracle import scan
 
 
 class TestSymmetrySet:
@@ -170,3 +173,43 @@ class TestSolutionSetStructure:
             inst, _ = generate(8, seed, 0.7)
             sols = branch_and_prune(inst, extract_internal(inst))
             assert exhaustive_solution_scan(inst) == set(sols.bit_strings())
+
+
+# SHA-256 of the sign-tree walk's output, bit for bit: n = 11 has no level
+# above the last BLOCK_LEVELS, n = 13 and clique-only n = 15 two and four,
+# n = 300 nearly all.  Measured with numpy 2.4 and its bundled OpenBLAS only.
+WALK_DIGESTS = {
+    (11, 1, 0.5): ("41260fe8d35e5315c05dd9631cc2d0e0de6f55b33689364ef0fb02d8fde9dc63",
+                   "f8267a725330a3b53133419c7666a5072556a2a4fc106e11479b43b9d0b25762",
+                   "469d6f1f81675b2a276540dac7cb3120bb23d89af4117d7d815bf7639752be92"),
+    (13, 2, 0.5): ("7e7499804ea271573123e2c271f7cb0b7653bc8309237a55e6332cdfb4c32744",
+                   "a61588bc1a58b11244624a950c69255dee46eee480bb0c862dc8f418c26bdf0d",
+                   "baa8ccf126d3f28fde5c6b1958a2655e27798a66cd469830b22ed96b4eef04b7"),
+    (15, 3, 0.0): ("6533380d7b24a67da22163f7ab7905f669817d22b15540d4efe7f72d968f3e30",
+                   "6b576f4c709d9812c5d90869f4dcdac60497802d683269dee453773625a2b446",
+                   "b026470ac4ad644e236b00586f52f351e09e442817baa395d49dddd18a95d700"),
+    (300, 1, 0.5): ("c40c41359a4f299ffbfd3404394929ee0df668ad404ad656477bb9674c3523a1",
+                    "350a6748186e77248c06708a06aaa2e7117c03acf79f0ce6117a59eb5237bc41",
+                    None),
+}
+
+
+@pytest.mark.parametrize("params", WALK_DIGESTS)
+@pytest.mark.parametrize("mode", ["all", "first"])
+def test_branch_and_prune_rows_are_pinned(params, mode):
+    inst, _ = generate(*params)
+    sols = branch_and_prune(inst, extract_internal(inst), mode=mode)
+    h = hashlib.sha256(repr(sols.index).encode())
+    h.update(sols.points.tobytes())
+    h.update(sols.penalties.tobytes())
+    assert h.hexdigest() == WALK_DIGESTS[params][mode == "first"]
+
+
+@pytest.mark.parametrize("params", [p for p, d in WALK_DIGESTS.items() if d[2]])
+def test_scan_blocks_are_pinned(params):
+    inst, _ = generate(*params)
+    h = hashlib.sha256()
+    for first, g in scan(inst, extract_internal(inst)):
+        h.update(repr(first).encode())
+        h.update(g.tobytes())
+    assert h.hexdigest() == WALK_DIGESTS[params][2]

@@ -225,6 +225,16 @@ class TestGrover:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "9d5018921c8b744d15ea4ec4e06a044cf6787bd69f7ee2fabd37045e96f722bd")
 
+    def test_generated_solve_output_is_pinned(self, tmp_path, capsys):
+        # clique-only n = 13: all 1024 leaves are solutions, two levels above the blocks
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "13", "--seed", "2", "--long-edge-prob", "0.0",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "a12ddf2df8c15ce33746444c16c7ef48d1700572e3735f4905b18bb70505df48")
+
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
@@ -326,6 +336,17 @@ class TestOracleScan:
     def test_hypothesis_violation_is_usage_error(self, demo_path):
         assert main(["oracle-scan", demo_path, "--delta", "0.6",
                      "--epsilon", "0.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "nan"], "dmdgp: error: delta must be positive, got nan"),
+        (["--epsilon", "1e-17"],
+         "dmdgp: error: epsilon must lie in (0, 1) with 1 - epsilon < 1 in float64, got 1e-17"),
+    ])
+    def test_bad_threshold_is_usage_error(self, demo_path, capsys, flags, message):
+        assert main(["oracle-scan", demo_path, *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [message]
 
     def test_over_scan_cap_prints_no_rows(self, n30_path, capsys):
         assert main(["oracle-scan", n30_path]) == EXIT_DATA

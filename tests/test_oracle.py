@@ -49,6 +49,11 @@ class TestParams:
             oracle_params(7, 1e-4, 0.0)
         with pytest.raises(ValueError):
             oracle_params(7, 1e-4, 1.0)
+        with pytest.raises(ValueError, match="delta must be positive, got nan"):
+            oracle_params(7, math.nan, 0.5)
+        # 1 - 1e-17 rounds to 1, whose log is 0
+        with pytest.raises(ValueError, match="< 1 in float64, got 1e-17"):
+            oracle_params(7, 1e-4, 1e-17)
 
     def test_p2_positive(self):
         for n in (4, 7, 12):
@@ -152,9 +157,10 @@ class TestMarkedSet:
                 assert flipped in marked
 
     def test_scan_cap(self):
-        inst, _ = generate(8, 0, 0.5)
-        with pytest.raises(ScanCapExceeded):
-            marked_set(inst, extract_internal(inst), oracle_params(8), scan_cap=16)
+        inst, _ = generate(28, 0, 0.5)
+        with pytest.raises(ScanCapExceeded,
+                           match="^search space 33554432 exceeds scan cap 16777216$"):
+            marked_set(inst, extract_internal(inst), oracle_params(28))
 
 
 class TestBounds:
