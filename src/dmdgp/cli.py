@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,9 +129,12 @@ def load_distribution_csv(text: str) -> np.ndarray:
         seen[k] = p
     assert width is not None
     size = 1 << width
-    missing = [k for k in range(size) if k not in seen]
-    if missing:
-        raise ParseError(f"missing outcomes: {[int_to_bits(k, width) for k in missing]}")
+    if len(seen) < size:
+        # the keys are distinct indices below size, so the count finds a gap
+        # and the search for the first three stops within len(seen) + 3 steps
+        first = itertools.islice((k for k in range(size) if k not in seen), 3)
+        raise ParseError(f"missing {size - len(seen)} of {size} outcomes, first "
+                         + ", ".join(int_to_bits(k, width) for k in first))
     return np.array([seen[k] for k in range(size)])
 
 
@@ -154,13 +158,34 @@ def _load_distribution(path: str) -> np.ndarray:
 # Rendering
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array and, per entry, its index among
+    them.  Entries are told apart by bit pattern, not by ==, so two entries
+    share an index only when they print alike (-0.0 and 0.0 do not)."""
+    keys, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return keys.view(values.dtype), inverse
+
+
+def _rows(labels: Sequence[str], tails: Sequence[str], inverse: np.ndarray) -> str:
+    """Rows `  {label}{tail}`, tail k being tails[inverse[k]], joined by
+    newlines: one join over an interleaved list, not one format per row."""
+    rows = min(len(labels), len(inverse))
+    parts = ["\n  "] * (3 * rows)
+    parts[1::3] = labels[:rows]
+    parts[2::3] = np.array(tails, dtype=object)[inverse[:rows]].tolist()
+    return "".join(parts)[1:]
+
+
 def histogram_text(labels: Sequence[str], values: np.ndarray, width: int = 40) -> str:
+    """One `  label  value  bars` row per entry.  The text after the label
+    depends only on the value, so it is formatted once per distinct value."""
     peak = float(values.max()) if len(values) else 1.0
     scale = width / peak if peak > 0 else 0.0
+    distinct, inverse = _distinct(values)
     # np.rint rounds half to even, as Python's round does
-    bars = np.maximum(np.rint(values * scale), 0).astype(int).tolist()
-    return "\n".join(map("  {}  {:9.6f}  {}".format, labels, values.tolist(),
-                         map("#".__mul__, bars)))
+    bars = np.maximum(np.rint(distinct * scale), 0).astype(int).tolist()
+    tails = list(map("  {:9.6f}  {}".format, distinct.tolist(), map("#".__mul__, bars)))
+    return _rows(labels, tails, inverse)
 
 
 def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]],
@@ -330,9 +355,6 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
 def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarray) -> str:
     n_bits = report.n - 3
     marked = set(report.marked)
-    stars = [""] * report.N
-    for m in report.marked:
-        stars[m] = " *"
     lines = [
         f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
         f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
@@ -351,8 +373,21 @@ def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarra
         f"frequency={float(sum(freqs[m] for m in report.marked)):.6f}"
     )
     lines.append("outcome     sampled      ideal")
-    lines += map("  {}  {:9.6f}  {:9.6f}{}".format, labels, freqs.tolist(),
-                 report.ideal.probabilities.tolist(), stars)
+    # past its label a row depends only on (sampled, ideal, marked), and the
+    # columns hold few distinct values: each value and each distinct row
+    # tail is formatted once
+    sampled, s_of = _distinct(freqs)
+    ideal, i_of = _distinct(report.ideal.probabilities)
+    star = np.zeros(report.N, dtype=np.intp)
+    star[list(report.marked)] = 1
+    shape = (sampled.size, ideal.size, 2)
+    keys, row_of = np.unique(np.ravel_multi_index((s_of, i_of, star), shape),
+                             return_inverse=True)
+    s_text = list(map("  {:9.6f}".format, sampled.tolist()))
+    i_text = list(map("  {:9.6f}".format, ideal.tolist()))
+    tails = [s_text[s] + i_text[i] + " *" * m
+             for s, i, m in zip(*(a.tolist() for a in np.unravel_index(keys, shape)))]
+    lines.append(_rows(labels, tails, row_of))
     q = report.quality
     lines.append(
         f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "

@@ -179,6 +179,29 @@ def b_matrix(i: int, internal: InternalCoords, sign: int = 1) -> np.ndarray:
     )
 
 
+def _branch_matrices(internal: InternalCoords) -> np.ndarray:
+    """b_matrix(i, internal, sign) for i = 4..n as one (n-3, 2, 4, 4) array,
+    [:, 0] the positive and [:, 1] the negative sine branch.
+
+    Bit for bit the same doubles as `b_matrix`: cos and sin come from
+    `math`, and every entry takes the same operands in the same order.
+    """
+    d, cw = internal.bonds[2:], internal.torsion_cosines
+    theta = internal.angles[1:].tolist()
+    ct = np.fromiter(map(math.cos, theta), dtype=float, count=cw.size)
+    st = np.fromiter(map(math.sin, theta), dtype=float, count=cw.size)
+    zero, one = np.zeros_like(cw), np.ones_like(cw)
+    root = np.sqrt(np.maximum(0.0, 1.0 - cw * cw))
+
+    def branch(sw):
+        return np.stack([-ct, -st, zero, -d * ct,
+                         st * cw, -ct * cw, -sw, d * st * cw,
+                         st * sw, -ct * sw, cw, d * st * sw,
+                         zero, zero, zero, one], axis=-1).reshape(-1, 4, 4)
+
+    return np.stack([branch(root), branch(-root)], axis=1)
+
+
 def realize(internal: InternalCoords, bits: str) -> Conformation:
     """Realize the candidate selected by a torsion-sign word.
 
@@ -222,13 +245,12 @@ def _sign_blocks(internal: InternalCoords,
     starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
     closes = {i: tuple(a[s:e] for a in grouped)
               for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
-    # B_i of the 0 and the 1 child, per branching vertex i
-    branches = {i: np.stack([b_matrix(i, internal, 1 - 2 * bit) for bit in (0, 1)])
-                for i in range(4, n + 1)}
+    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4]
+    branches = _branch_matrices(internal)
 
     def double(qs, block, gs, v):
         """K rows -> 2K: the 0 and the 1 child of each row at vertex v."""
-        qs = np.matmul(qs[:, None], branches[v]).reshape(-1, 4, 4)
+        qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
         block = np.repeat(block, 2, axis=0)
         block[:, v - 1] = qs[:, :3, 3]
         return qs, block, np.repeat(gs, 2) + penalties(block, closes[v])

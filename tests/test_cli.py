@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmdgp import (
     branch_and_prune,
@@ -23,12 +26,15 @@ from dmdgp.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
+    histogram_text,
     load_distribution_csv,
     main,
+    render_run_report,
     run_search,
     save_distribution_csv,
 )
 from dmdgp.bitstrings import all_bits, int_to_bits
+from dmdgp.grover import Distribution, iteration_count
 from dmdgp.instance import ParseError
 
 
@@ -266,6 +272,71 @@ def test_outcome_labels_equal_per_index_formatting(width):
     assert all_bits(width) == [int_to_bits(k, width) for k in range(1 << width)]
 
 
+# Few distinct values, as the two N-row tables hold, with -0.0 next to 0.0:
+# the two compare equal but print differently, so rows grouped by float
+# equality rather than by bit pattern would print one of them wrongly.
+TIES = [0.0, -0.0, 1e-7, 0.25, 1 / 3, 0.5, 0.5000001, 1.0]
+# (a lone peak near the smallest double would overflow the bar scale)
+tied_values = st.lists(st.sampled_from(TIES) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3),
+                       max_size=40)
+
+
+def reference_histogram(labels, values, width=40):
+    """histogram_text as one str.format per row."""
+    peak = float(values.max()) if len(values) else 1.0
+    scale = width / peak if peak > 0 else 0.0
+    return "\n".join("  {}  {:9.6f}  {}".format(label, v, "#" * max(round(v * scale), 0))
+                     for label, v in zip(labels, values.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_values)
+@example([])
+@example([0.0])
+@example([0.0, 0.0, 0.0, 0.0])
+@example([0.0, -0.0, 0.0, 0.5, -0.0, 0.5])
+@example([-0.0, 0.0])
+def test_histogram_text_equals_per_row_formatting(values):
+    values = np.array(values, dtype=float)
+    labels = [f"k{k}" for k in range(values.size)]
+    assert histogram_text(labels, values) == reference_histogram(labels, values)
+
+
+@st.composite
+def report_columns(draw):
+    """(width, marked, sampled column, ideal weights) for a 2^width-row table."""
+    width = draw(st.integers(1, 5))
+    N = 1 << width
+    marked = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N - 1))
+    column = st.lists(st.sampled_from(TIES) | st.floats(0.0, 1.0), min_size=N, max_size=N)
+    weights = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=N, max_size=N)
+                   .filter(any))
+    return width, sorted(marked), draw(column), weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_columns())
+@example((2, [1], [0.0, -0.0, 0.5, -0.0], [1, 1, 1, 1]))
+@example((2, [0, 3], [-0.0, 0.0, 0.0, 1.0], [3, 0, 0, 3]))
+def test_report_rows_equal_per_row_formatting(columns):
+    width, marked, sampled, weights = columns
+    N = 1 << width
+    base = run_search(demo7_instance()[0], None, "nearest", 100, 0, 0.0)
+    report = dataclasses.replace(
+        base, n=width + 3, N=N, marked=tuple(marked),
+        plan=iteration_count(N, len(marked)),
+        ideal=Distribution(np.array(weights) / sum(weights)))
+    labels, freqs = all_bits(width), np.array(sampled, dtype=float)
+    ideal = report.ideal.probabilities.tolist()
+    expected = ["  {}  {:9.6f}  {:9.6f}{}".format(labels[k], freqs[k], ideal[k],
+                                                  " *" if k in marked else "")
+                for k in range(N)]
+    lines = render_run_report(report, labels, freqs).split("\n")
+    head = lines.index("outcome     sampled      ideal") + 1
+    assert lines[head:head + N] == expected
+    assert lines[head + N].startswith("sampled vs ideal: ")
+
+
 class TestUnrealizableInstance:
     """Valid by `validate`, but d(1,4) = 5.9 exceeds the 4.5 that three
     bonds of 1.5 span, so its torsion cosine lies outside [-1, 1]."""
@@ -382,6 +453,18 @@ class TestDistributionCsv:
     def test_missing_outcomes(self):
         with pytest.raises(ParseError, match="missing"):
             load_distribution_csv("outcome,probability\n00,0.5\n01,0.5\n")
+
+    def test_missing_outcomes_message_is_bounded(self, tmp_path, capsys):
+        # 2^64 outcomes, one of them present: the message counts the rest
+        path = tmp_path / "wide.csv"
+        path.write_text(f"outcome,probability\n{'0' * 64},1\n", encoding="utf-8")
+        assert main(["metrics", str(path), str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"dmdgp: error: {path}: missing {2**64 - 1} of {2**64} outcomes, first "
+            + ", ".join(int_to_bits(k, 64) for k in (1, 2, 3))
+        ]
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["solve", "--frobnicate"]) == EXIT_USAGE

@@ -5,7 +5,8 @@ block scan agree with the per-candidate references `oracle_eval`,
 with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
-and the in-place
+the branch matrices the walk builds as one array are `b_matrix`'s
+doubles, and the in-place
 Grover run agrees with the single-step reference `evolve` and the
 closed form."""
 
@@ -17,6 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdgp import (
+    InternalCoords,
+    b_matrix,
     branch_and_prune,
     expand_symmetry,
     extract_internal,
@@ -33,7 +36,7 @@ from dmdgp import (
 )
 from dmdgp.bp import SymmetrySet
 from dmdgp.cli import CliError, run_search
-from dmdgp.geometry import BLOCK_LEVELS
+from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices
 from dmdgp.grover import evolve, uniform_state
 from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
 from dmdgp.oracle import scan
@@ -177,6 +180,29 @@ def test_expand_symmetry_equals_string_reflections(case):
             c if sum(v <= pos + 4 for v in chosen) % 2 == 0 else "10"[int(c)]
             for pos, c in enumerate(bits)))
     assert expand_symmetry(bits, SymmetrySet(tuple(vertices))) == orbit
+
+
+@st.composite
+def internal_coords(draw):
+    """Internal coordinates of n = 4..40 vertices; torsion cosines include
+    the planar -1, 0 and 1, where the sine branch is 0.0 or -0.0."""
+    n = draw(st.integers(4, 40))
+    bonds = st.lists(st.floats(0.5, 5.0), min_size=n - 1, max_size=n - 1)
+    angles = st.lists(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+                      min_size=n - 2, max_size=n - 2)
+    cosines = st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+                       min_size=n - 3, max_size=n - 3)
+    return InternalCoords(*(np.array(draw(s)) for s in (bonds, angles, cosines)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(internal_coords())
+def test_branch_matrices_equal_b_matrix_bit_for_bit(internal):
+    reference = np.array([[b_matrix(i, internal, sign) for sign in (1, -1)]
+                          for i in range(4, internal.n + 1)])
+    branches = _branch_matrices(internal)
+    assert branches.shape == reference.shape
+    assert np.array_equal(branches.view(np.uint64), reference.view(np.uint64))
 
 
 @st.composite
