@@ -17,9 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstrings import bits_to_int, int_to_bits
-from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays
+from .geometry import BLOCK_LEVELS, Conformation, InternalCoords, _sign_blocks, edge_arrays
 from .instance import DmdgpInstance
 from .oracle import DEFAULT_DELTA
+
+
+#: Points (rows times n) a block of the walk holds in mode "first".  A wide
+#: block reaches the first leaf of a bushy tree in fewer doubling steps
+#: than single rows do, but on a long chain each extra row, often the
+#: mirror image of the first, is n more points copied per level and is
+#: never read.  256 allows 18 rows at n = 14, 12 at n = 20 and one past
+#: n = 128; no single row count was as fast on both kinds of tree.
+FIRST_BLOCK_POINTS = 256
 
 
 class NoSolutionError(RuntimeError):
@@ -128,13 +137,16 @@ def branch_and_prune(
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    limit = 1 if mode == "first" else None
+    if mode == "first":
+        limit, cap = 1, max(1, FIRST_BLOCK_POINTS // inst.n)
+    else:
+        limit, cap = None, 1 << BLOCK_LEVELS
     index, blocks, gs = [], [], []
-    for first, lows, block, g in _sign_blocks(internal, edge_arrays(inst), delta):
-        index += [first + low for low in lows[:limit]]
+    for k, block, g in _sign_blocks(internal, edge_arrays(inst), delta, cap):
+        index += k[:limit].tolist()
         blocks.append(block[:limit])
         gs.append(g[:limit])
-        if index and limit:
+        if limit:
             break
     if not index:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")

@@ -182,8 +182,11 @@ def histogram_text(labels: Sequence[str], values: np.ndarray, width: int = 40) -
     peak = float(values.max()) if len(values) else 1.0
     scale = width / peak if peak > 0 else 0.0
     distinct, inverse = _distinct(values)
+    # width / peak overflows for a peak below ~width / DBL_MAX, where a
+    # nonnegative value's share of the peak stays finite
+    lengths = distinct * scale if scale < math.inf else np.maximum(distinct, 0) / peak * width
     # np.rint rounds half to even, as Python's round does
-    bars = np.maximum(np.rint(distinct * scale), 0).astype(int).tolist()
+    bars = np.maximum(np.rint(lengths), 0).astype(int).tolist()
     tails = list(map("  {:9.6f}  {}".format, distinct.tolist(), map("#".__mul__, bars)))
     return _rows(labels, tails, inverse)
 
@@ -275,8 +278,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("no solution")
         return EXIT_NO_SOLUTION
     print(f"solutions found: {len(solutions)}")
-    for k, g in zip(solutions.index, solutions.penalties.tolist()):
-        print(f"  bits={int_to_bits(k, inst.n - 3)}  index={k}  penalty={g:.3e}")
+    row = f"  bits={{0:0{inst.n - 3}b}}  index={{0}}  penalty={{1:.3e}}\n".format
+    print("".join(map(row, solutions.index, solutions.penalties.tolist())), end="")
     return EXIT_OK
 
 

@@ -34,10 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: instead of clamped.
 COS_TOLERANCE = 1e-9
 
-#: Sign levels the sign-tree walk doubles as array ops, so a block holds at
-#: most 2^BLOCK_LEVELS leaves and a scan's memory does not grow with the
-#: search space.  Blocks of 2^6..2^12 leaves scan n=12..14 in about the
-#: same time; 2^8 keeps a scan's allocations near 1 MiB (4 MiB at 2^10).
+#: A block of the sign-tree walk holds at most 2^BLOCK_LEVELS rows in
+#: branch-and-prune's mode "all" and in the scan, so a scan's memory does
+#: not grow with the search space.  Blocks of 2^6..2^12 leaves scan
+#: n=12..14 in about the same time; 2^8 keeps a scan's allocations near
+#: 1 MiB (4 MiB at 2^10).
 BLOCK_LEVELS = 8
 
 
@@ -222,61 +223,77 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
 
 def _sign_blocks(internal: InternalCoords,
                  edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 delta: float = math.inf
-                 ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
-    """The one walk of the sign tree: (first, lows, points (K, n, 3), g (K,))
-    per block of leaves first + lows[j] with penalty g[j] < delta over
-    `edges` (from `edge_arrays`), depth first and 0 child first, so ascending.
+                 delta: float = math.inf,
+                 cap: int = 1 << BLOCK_LEVELS
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one walk of the sign tree: (index (K,), points (K, n, 3), g (K,))
+    per block of leaves with penalty g < delta over `edges` (from
+    `edge_arrays`), depth first and 0 child first, so ascending.
+
+    The stack holds blocks of rows of one depth, in ascending order.  A
+    popped block is doubled level by level, Q <- (Q B_v^0, Q B_v^1) per row,
+    and whenever it holds more than `cap` rows it is split in halves, the
+    upper half pushed for later.  Every yielded block is nonempty and holds
+    at most `cap` rows.  With delta = inf nothing is dropped, so the blocks
+    are the consecutive ranges of min(cap, 2^(n-3)) leaves, and row j of a
+    block is leaf index[0] + j: the oracle scan relies on that.
 
     Each row carries its partial penalty: placing vertex v adds `penalties`
     over the edges whose later endpoint is v, and a row is dropped once the
     sum reaches delta.  The terms are nonnegative, so the sum never
-    decreases and no leaf with g < delta is lost.  One doubling step places
-    every vertex past the root, Q <- (Q B_v^0, Q B_v^1) per row: a node above
-    the last BLOCK_LEVELS levels is a one-row block on an explicit stack, and
-    the levels below double the popped block.
+    decreases and no leaf with g < delta is lost.  Each row also carries
+    its sign bits, so an index is exact at any depth: int64 while
+    n - 3 <= 63, Python ints (dtype object) past that.
     """
     n = internal.n
-    low = min(n - 3, BLOCK_LEVELS)
-    # the edges vertex i closes (vertex 3 closes those of the fixed root too)
+    # the edges vertex i closes (vertex 3 closes those of the fixed root
+    # too); past the root all of them end at vertex i, read as a basic slice
     later = np.maximum(edges[1], 2)
     by_later = np.argsort(later, kind="stable")
-    grouped = [a[by_later] for a in edges]
+    u, w, d2 = (a[by_later] for a in edges)
     starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
-    closes = {i: tuple(a[s:e] for a in grouped)
+    closes = {i: (u[s:e], slice(i - 1, i) if i > 3 else w[s:e], d2[s:e])
               for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
     # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4]
     branches = _branch_matrices(internal)
-
-    def double(qs, block, gs, v):
-        """K rows -> 2K: the 0 and the 1 child of each row at vertex v."""
-        qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
-        block = np.repeat(block, 2, axis=0)
-        block[:, v - 1] = qs[:, :3, 3]
-        return qs, block, np.repeat(gs, 2) + penalties(block, closes[v])
+    # a row's sign bits, leftmost first, weigh 2^(n-4) .. 1
+    weights = np.array([1 << j for j in range(n - 4, -1, -1)],
+                       dtype=np.int64 if n - 3 <= 63 else object)
 
     # the fixed root: x1 at the origin, x2 and x3 from B_2 and B_2 B_3
     q2 = b_matrix(2, internal)
     q = q2 @ b_matrix(3, internal)
     block = np.zeros((1, n, 3))
     block[0, 1:3] = q2[:3, 3], q[:3, 3]
-    # (vertex placed last, sign-word prefix, then Q, points and g of one row)
-    stack = [(3, 0, q[None], block, penalties(block, closes[3]))]
+    bits = np.zeros((1, n - 3), dtype=np.uint8)
+    # (vertex placed last, then Q, points, g and sign bits of the rows)
+    stack = [(3, q[None], block, penalties(block, closes[3]), bits)]
     while stack:
-        i, prefix, qs, block, gs = stack.pop()
-        if i < n - low:
-            qs, block, gs = double(qs, block, gs, i + 1)
-            stack += [(i + 1, prefix << 1 | c, qs[c:c + 1], block[c:c + 1], gs[c:c + 1])
-                      for c in (1, 0) if gs[c] < delta]
-            continue
-        lows = np.zeros(1, dtype=np.intp)
-        for v in range(i + 1, n + 1):
-            qs, block, gs = double(qs, block, gs, v)
-            lows = (2 * lows[:, None] + (0, 1)).ravel()
-            keep = gs < delta
-            if not keep.all():
-                qs, block, gs, lows = qs[keep], block[keep], gs[keep], lows[keep]
-        yield prefix << low, lows.tolist(), block, gs
+        v, qs, block, gs, bits = stack.pop()
+        while True:
+            if gs.size > cap:
+                h = gs.size >> 1
+                stack.append((v, qs[h:], block[h:], gs[h:], bits[h:]))
+                qs, block, gs, bits = qs[:h], block[:h], gs[:h], bits[:h]
+            if v == n:
+                yield bits @ weights, block, gs
+                break
+            v += 1
+            qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
+            block = block.repeat(2, axis=0)
+            block[:, v - 1] = qs[:, :3, 3]
+            gs = gs.repeat(2) + penalties(block, closes[v])
+            bits = bits.repeat(2, axis=0)
+            bits[1::2, v - 4] = 1
+            kept = (gs < delta).nonzero()[0]
+            if kept.size < gs.size:
+                if not kept.size:
+                    break
+                # a run of rows, or any two, is a basic slice, which copies nothing
+                a, b = kept[0], kept[-1]
+                if kept.size == 2 or b - a < kept.size:
+                    kept = slice(a, b + 1, b - a if kept.size == 2 else 1)
+                qs, block, gs, bits = qs[kept], block[kept], gs[kept], bits[kept]
 
 
 def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,10 +309,11 @@ def penalties(points: np.ndarray,
     """Penalty of each conformation in a stack: points (K, n, 3) -> (K,).
 
     g = sum over edges of (||x_u - x_v||^2 - d_uv^2)^2, with `edges` from
-    `edge_arrays`.  Zero exactly when every edge distance is met.
+    `edge_arrays`; v may also be a slice of one vertex, shared by every
+    edge.  Zero exactly when every edge distance is met.
     """
     u, v, d2 = edges
-    diff = points[:, u] - points[:, v]
+    diff = points.take(u, axis=1) - points[:, v]
     residual = np.einsum("kej,kej->ke", diff, diff) - d2
     return np.einsum("ke,ke->k", residual, residual)
 

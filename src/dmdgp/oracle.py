@@ -106,10 +106,11 @@ def check_scan_cap(n: int) -> int:
 
 def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
     """(first, g) per block of the sign-tree walk run with no cut, where g[j]
-    is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order; raises
+    is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order (with no
+    cut each block is a range, so first is its index[0]); raises
     ScanCapExceeded before any work when 2^(n-3) > DEFAULT_SCAN_CAP."""
     check_scan_cap(inst.n)
-    return ((first, g) for first, _, _, g in _sign_blocks(internal, edge_arrays(inst)))
+    return ((int(index[0]), g) for index, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 
 def marked_set(inst: DmdgpInstance, internal: InternalCoords,

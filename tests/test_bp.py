@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from dmdgp import (
@@ -16,6 +17,7 @@ from dmdgp import (
     realize,
     symmetry_set,
 )
+from dmdgp.bitstrings import bits_to_int, int_to_bits
 from dmdgp.bp import SymmetrySet
 from dmdgp.instance import clique_pairs, generate_from_topology
 from dmdgp.oracle import scan
@@ -141,6 +143,18 @@ class TestBranchAndPrune:
         inst, gt = generate(1100, 1, 0.5)
         sols = branch_and_prune(inst, extract_internal(inst))
         assert gt.bits in sols.bit_strings()
+
+    @pytest.mark.parametrize("n", [66, 67, 130])
+    def test_indices_stay_exact_past_63_levels(self, n):
+        # 63 sign levels fill an int64; 64 and 127 levels need Python ints
+        inst, gt = generate(n, 3, 0.5)
+        internal = extract_internal(inst)
+        sols = branch_and_prune(inst, internal)
+        assert bits_to_int(gt.bits) in sols.index
+        for k, pts in zip(sols.index, sols.points):
+            assert type(k) is int
+            assert np.array_equal(pts, realize(internal, int_to_bits(k, n - 3)).points)
+        assert branch_and_prune(inst, internal, mode="first").index == sols.index[:1]
 
 
 def exhaustive_solution_scan(inst, tol=1e-4):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -130,6 +131,19 @@ class TestSolve:
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")
         assert main(["solve", str(path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("all", "5ef4a38a6d4adb2685fd85272bdb28e375319765b88907af2298ab92f405ba53"),
+        ("first", "acff1a6975bfeff61932108d8c02bf2f4829f59f43878b916a6cc79c1317a556"),
+    ])
+    def test_deep_chain_solve_output_is_pinned(self, tmp_path, capsys, mode, digest):
+        # 297 sign levels and |S| = 1: indices far past 63 bits
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "300", "--seed", "1", "--long-edge-prob", "0.5",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", path, "--mode", mode]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestGrover:
@@ -276,16 +290,21 @@ def test_outcome_labels_equal_per_index_formatting(width):
 # the two compare equal but print differently, so rows grouped by float
 # equality rather than by bit pattern would print one of them wrongly.
 TIES = [0.0, -0.0, 1e-7, 0.25, 1 / 3, 0.5, 0.5000001, 1.0]
-# (a lone peak near the smallest double would overflow the bar scale)
-tied_values = st.lists(st.sampled_from(TIES) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3),
-                       max_size=40)
+# values down to the smallest subnormal: a peak below ~40 / DBL_MAX
+# overflows the bar scale 40 / peak
+tied_values = st.lists(st.sampled_from(TIES) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)
+                       | st.floats(5e-324, 1e-300), max_size=40)
 
 
 def reference_histogram(labels, values, width=40):
     """histogram_text as one str.format per row."""
     peak = float(values.max()) if len(values) else 1.0
     scale = width / peak if peak > 0 else 0.0
-    return "\n".join("  {}  {:9.6f}  {}".format(label, v, "#" * max(round(v * scale), 0))
+
+    def bar(v):
+        return "#" * max(round(v * scale if scale < math.inf else max(v, 0) / peak * width), 0)
+
+    return "\n".join("  {}  {:9.6f}  {}".format(label, v, bar(v))
                      for label, v in zip(labels, values.tolist()))
 
 
@@ -296,10 +315,23 @@ def reference_histogram(labels, values, width=40):
 @example([0.0, 0.0, 0.0, 0.0])
 @example([0.0, -0.0, 0.0, 0.5, -0.0, 0.5])
 @example([-0.0, 0.0])
+@example([-1.0, 5e-324])
 def test_histogram_text_equals_per_row_formatting(values):
     values = np.array(values, dtype=float)
     labels = [f"k{k}" for k in range(values.size)]
     assert histogram_text(labels, values) == reference_histogram(labels, values)
+
+
+@pytest.mark.parametrize("values, bars", [
+    ([2.2e-311], [40]),
+    ([0.0, 2.2e-311, -0.0], [0, 40, 0]),
+    ([5e-324], [40]),
+    ([1e-310, 5e-311, 2.5e-311, 0.0], [40, 20, 10, 0]),
+])
+def test_histogram_text_scales_subnormal_peaks(values, bars):
+    # 40 / peak is inf here; the bars still measure each value's share of the peak
+    rows = histogram_text([f"k{k}" for k in range(len(values))], np.array(values)).split("\n")
+    assert [len(row) - len(row.rstrip("#")) for row in rows] == bars
 
 
 @st.composite

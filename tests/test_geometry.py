@@ -122,9 +122,9 @@ class TestRealize:
 def walk(inst, delta=math.inf):
     """(index, points, g) per leaf of the sign-tree walk over `inst`."""
     ic = extract_internal(inst)
-    return [(first + low, pts, g)
-            for first, lows, block, gs in _sign_blocks(ic, edge_arrays(inst), delta)
-            for low, pts, g in zip(lows, block, gs.tolist())]
+    return [(k, pts, g)
+            for index, block, gs in _sign_blocks(ic, edge_arrays(inst), delta)
+            for k, pts, g in zip(index.tolist(), block, gs.tolist())]
 
 
 class TestSignTree:
@@ -152,14 +152,24 @@ class TestLeafBlocks:
         inst, _ = generate(levels + 3, levels, 0.5)
         ic = extract_internal(inst)
         seen = 0
-        for first, lows, block, g in _sign_blocks(ic, edge_arrays(inst)):
-            assert first == seen
-            assert lows == list(range(1 << min(levels, BLOCK_LEVELS)))
-            assert block.shape == (len(lows), levels + 3, 3) and g.shape == (len(lows),)
-            for j, pts in enumerate(block):
-                assert np.array_equal(pts, realize(ic, int_to_bits(first + j, levels)).points)
-            seen += len(block)
+        for index, block, g in _sign_blocks(ic, edge_arrays(inst)):
+            size = 1 << min(levels, BLOCK_LEVELS)
+            assert index.tolist() == list(range(seen, seen + size))
+            assert block.shape == (size, levels + 3, 3) and g.shape == (size,)
+            for k, pts in zip(index.tolist(), block):
+                assert np.array_equal(pts, realize(ic, int_to_bits(k, levels)).points)
+            seen += size
         assert seen == 1 << levels
+
+    @pytest.mark.parametrize("cap", [1, 3, 16])
+    def test_blocks_hold_at_most_cap_rows(self, cap):
+        inst, _ = generate(12, 5, 0.5)
+        ic = extract_internal(inst)
+        for delta in (math.inf, 1e-10):
+            blocks = list(_sign_blocks(ic, edge_arrays(inst), delta, cap))
+            assert all(0 < len(index) <= cap for index, _, _ in blocks)
+        assert [k for index, _, _ in blocks for k in index.tolist()] == [
+            k for k, _, _ in walk(inst, delta=1e-10)]
 
 
 class TestExtract:

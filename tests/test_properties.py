@@ -5,6 +5,7 @@ block scan agree with the per-candidate references `oracle_eval`,
 with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
+the walk yields the same rows whatever its block cap,
 the branch matrices the walk builds as one array are `b_matrix`'s
 doubles, and the in-place
 Grover run agrees with the single-step reference `evolve` and the
@@ -36,7 +37,7 @@ from dmdgp import (
 )
 from dmdgp.bp import SymmetrySet
 from dmdgp.cli import CliError, run_search
-from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices
+from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices, _sign_blocks, edge_arrays
 from dmdgp.grover import evolve, uniform_state
 from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
 from dmdgp.oracle import scan
@@ -101,6 +102,25 @@ def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generate
         assert list(marked_set(inst, internal, oracle_params(inst.n, delta))) == expected
         assert branch_and_prune(inst, internal, delta).indices() == expected
         assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
+
+
+def walk_rows(inst, delta, cap):
+    """Every row the sign-tree walk yields: (index, points bytes, g bytes)."""
+    return [(k, pts.tobytes(), g.tobytes())
+            for index, block, gs in _sign_blocks(extract_internal(inst), edge_arrays(inst),
+                                                 delta, cap)
+            for k, pts, g in zip(index.tolist(), block, gs)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)),
+       st.sampled_from([math.inf, 1e-4, 1e-10]))
+@example(generate(BLOCK_LEVELS + 5, 4, 0.5), 1e-10)
+@example(generate(14, 4003, 0.05), 1e-10)
+def test_walk_rows_do_not_depend_on_the_block_cap(generated, delta):
+    inst, _ = generated
+    assert walk_rows(inst, delta, 1) == walk_rows(inst, delta, 1 << BLOCK_LEVELS)
 
 
 @settings(max_examples=40, deadline=None)
