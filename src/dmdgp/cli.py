@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error,
 65 data format error or an instance outside supported limits (search
-space over the scan cap, every candidate marked, distances no chain
-realizes).
+space over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, every
+candidate marked, distances no chain realizes).
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 DEFAULT_SHOTS = 8196
+
+#: `grover` holds several N-length arrays and prints two N-row tables, so it
+#: stops at 2^22 outcomes (n <= 25), below the scan cap.  Its message
+#: estimates the run from per-outcome costs measured at N = 2^19 (n = 22)
+#: with stdout held in memory: 300-330 B of peak RSS and 79 B of stdout.
+GROVER_MAX_OUTCOMES = 1 << 22
+GROVER_BYTES_PER_OUTCOME = 300
+GROVER_STDOUT_BYTES_PER_OUTCOME = 80
 
 
 class CliError(Exception):
@@ -325,11 +333,17 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     """Branch-and-prune for the marked set, iteration planning, evolution,
     sampling, scoring.
 
-    The scan cap bounds the N-length arrays and the N-row report, so it is
-    checked before the search runs.
+    The scan cap and `GROVER_MAX_OUTCOMES` bound the N-length arrays and the
+    N-row report, so both are checked before the search runs.
     """
     internal = geometry.extract_internal(inst)
     N = oracle.check_scan_cap(inst.n)
+    if N > GROVER_MAX_OUTCOMES:
+        raise CliError(
+            EXIT_DATA,
+            f"search space {N} exceeds grover's limit of {GROVER_MAX_OUTCOMES} outcomes "
+            f"(~{N * GROVER_BYTES_PER_OUTCOME / 1e6:.0f} MB of memory and "
+            f"~{N * GROVER_STDOUT_BYTES_PER_OUTCOME / 1e6:.0f} MB of stdout)")
     marked = bp.branch_and_prune(inst, internal).index
     if len(marked) == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")

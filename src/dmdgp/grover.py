@@ -1,10 +1,18 @@
-"""Exact statevector simulation of amplitude amplification.
+"""Exact simulation of amplitude amplification.
 
 The search register holds N = 2^(n-3) real amplitudes.  One iteration
 negates the marked amplitudes (the phase oracle acting on the search
 register alone; the |-> ancilla that would absorb the kickback is
 mathematically inert and never materialized) and then reflects about
-the mean, which is the diffusion 2|psi><psi| - I applied in O(N).
+the mean, which is the diffusion 2|psi><psi| - I.
+
+From the uniform start the state stays in the span of the uniform
+marked state and the uniform unmarked state: every marked amplitude
+equals every other, and so does every unmarked one.  So
+`grover_distribution` iterates just those two amplitudes, O(k), and
+broadcasts them into the N outcome probabilities once, O(N).
+`grover_state` is the N-vector reference: it applies the same iteration
+to all N amplitudes in place, O(kN).
 
 Everything here is pure: planning the iteration count, evolving the
 state, converting to outcome probabilities, seeded multinomial
@@ -110,9 +118,13 @@ class ShotCounts:
         return self.counts / self.shots
 
 
-def _check_space(N: int, M: int) -> None:
+def _check_size(N: int) -> None:
     if N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"search space size must be a power of 2 >= 2, got {N}")
+
+
+def _check_space(N: int, M: int) -> None:
+    _check_size(N)
     if not 1 <= M < N:
         raise ValueError(f"marked count must satisfy 1 <= M < N, got M={M}, N={N}")
 
@@ -138,8 +150,7 @@ def iteration_count(N: int, M: int = 1, mode: str = "nearest") -> GroverPlan:
 
 
 def _uniform_amplitudes(N: int) -> np.ndarray:
-    if N < 2 or (N & (N - 1)) != 0:
-        raise ValueError(f"search space size must be a power of 2 >= 2, got {N}")
+    _check_size(N)
     return np.full(N, 1.0 / math.sqrt(N))
 
 
@@ -186,8 +197,25 @@ def grover_state(N: int, marked: Iterable[int], iters: int) -> Statevector:
 
 
 def grover_distribution(N: int, marked: Iterable[int], iters: int) -> Distribution:
-    """Outcome probabilities after `iters` iterations (0 -> uniform)."""
-    return grover_state(N, marked, iters).probabilities()
+    """Outcome probabilities after `iters` iterations (0 -> uniform).
+
+    Iterates the marked amplitude a and the unmarked amplitude b, both
+    1/sqrt(N) at the start, with the reflection `grover_state` applies to
+    all N: a = -a, then both reflect about mean = (M a + (N - M) b) / N.
+    """
+    if iters < 0:
+        raise ValueError("iteration count must be nonnegative")
+    idx = _marked_array(N, marked)
+    _check_size(N)
+    M = idx.size
+    a = b = 1.0 / math.sqrt(N)
+    for _ in range(iters):
+        a = -a
+        mean = (M * a + (N - M) * b) / N
+        a, b = 2.0 * mean - a, 2.0 * mean - b
+    probs = np.full(N, b * b)
+    probs[idx] = a * a
+    return Distribution(probs)
 
 
 def success_probability(N: int, M: int, iters: int) -> float:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from dmdgp import (
     serialize_instance,
     symmetry_set,
 )
+from dmdgp import bp
 from dmdgp.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -237,6 +239,21 @@ class TestGrover:
         assert main(["grover", str(path), *flags]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    # N = 2^14, M = 2, k = 71: sixteen times the outcomes of the n = 13 pins
+    @pytest.mark.parametrize("flags, digest", [
+        (["--seed", "5"],
+         "95c881af376ccc112d7802d67d0b3f2d8d245bd1e4bd073943bd0461c14d45d7"),
+        (["--noise", "0.3", "--seed", "5"],
+         "bfd5723fb918d2a5aeea22d70e1428c1bc4d4cbea7b34ff985716bcfe471dbd4"),
+    ])
+    def test_n17_output_is_pinned(self, tmp_path, capsys, flags, digest):
+        path = str(tmp_path / "n17.json")
+        assert main(["gen", "--n", "17", "--seed", "2", "--long-edge-prob", "0.5",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["grover", path, *flags]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_generated_svg_is_pinned(self, tmp_path, capsys):
         path, svg = tmp_path / "inst.json", tmp_path / "hist.svg"
         path.write_text(serialize_instance(*generate(13, 2, 0.5)), encoding="utf-8")
@@ -266,6 +283,31 @@ class TestGrover:
         assert out == ""
         assert err.splitlines() == [
             "dmdgp: error: search space 134217728 exceeds scan cap 16777216"
+        ]
+
+    def test_over_outcome_limit_is_data_error_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # n = 26: N = 2^23 is under the scan cap and over grover's own limit
+        path = tmp_path / "n26.json"
+        path.write_text(serialize_instance(*generate(26, 1, 0.5)), encoding="utf-8")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("branch_and_prune ran above the outcome limit")
+
+        monkeypatch.setattr(bp, "branch_and_prune", no_search)
+        tracemalloc.start()
+        try:
+            code = main(["grover", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert peak < (1 << 23)  # one byte per outcome; an N-length float array is 64 MiB
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "dmdgp: error: search space 8388608 exceeds grover's limit of 4194304 "
+            "outcomes (~2517 MB of memory and ~671 MB of stdout)"
         ]
 
     def test_every_candidate_marked_is_data_error(self, tmp_path, capsys):

@@ -7,11 +7,13 @@ set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
 the walk yields the same rows whatever its block cap,
 the branch matrices the walk builds as one array are `b_matrix`'s
-doubles, and the in-place
+doubles, the in-place
 Grover run agrees with the single-step reference `evolve` and the
-closed form."""
+closed form, and the two-amplitude `grover_distribution` agrees with
+that N-vector run."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dmdgp import (
     expand_symmetry,
     extract_internal,
     generate,
+    grover_distribution,
     grover_state,
     int_to_bits,
     marked_set,
@@ -38,7 +41,7 @@ from dmdgp import (
 from dmdgp.bp import SymmetrySet
 from dmdgp.cli import CliError, run_search
 from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices, _sign_blocks, edge_arrays
-from dmdgp.grover import evolve, uniform_state
+from dmdgp.grover import evolve, iteration_count, uniform_state
 from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
 from dmdgp.oracle import scan
 
@@ -248,3 +251,40 @@ def test_grover_state_equals_chained_evolve_and_closed_form(search):
     assert abs(probs[marked].sum() - success_probability(N, marked.size, iters)) <= 1e-9
     assert np.unique(probs[marked]).size == 1
     assert np.unique(np.delete(probs, marked)).size == 1
+
+
+@st.composite
+def two_amplitude_searches(draw):
+    """(N = 2^1..2^14, marked set with 1 <= M < N, k in 0..2 k_opt + 2)."""
+    N = 1 << draw(st.integers(1, 14))
+    M = draw(st.integers(1, N - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    marked = rng.choice(N, size=M, replace=False)
+    return N, marked, draw(st.integers(0, 2 * iteration_count(N, M).k + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_amplitude_searches())
+@example((1 << 18, np.array([5, 200_000]), 284))  # bench scale: k_opt at N = 2^18, M = 2
+def test_grover_distribution_equals_the_n_vector_run(search):
+    # the two recurrences round differently (a two-term mean against numpy's
+    # pairwise sum over N); over 600 random cases up to N = 2^18, half of them
+    # with M <= 8, they differed by at most 1.4e-14
+    N, marked, iters = search
+    probs = grover_distribution(N, marked, iters).probabilities
+    reference = grover_state(N, marked, iters).probabilities().probabilities
+    np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N, marked, iters, message", [
+    (8, [2], -1, "iteration count must be nonnegative"),
+    (8, [], 1, "marked set must not be empty"),
+    (8, [8], 1, "marked indices must lie in 0..7"),
+    (8, [-1], 1, "marked indices must lie in 0..7"),
+    (12, [2], 1, "search space size must be a power of 2 >= 2, got 12"),
+    (1, [0], 1, "search space size must be a power of 2 >= 2, got 1"),
+])
+def test_grover_distribution_rejects_what_grover_state_rejects(N, marked, iters, message):
+    for run in (grover_distribution, grover_state):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(N, marked, iters)
