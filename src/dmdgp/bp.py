@@ -92,17 +92,11 @@ def symmetry_set(inst: DmdgpInstance) -> SymmetrySet:
     """Evaluate the defining set comprehension in O(n + |E|): each edge
     {u, w} with w > u + 3 covers the vertex range u+4..w, marked on a
     difference array, and S is the uncovered part of 4..n."""
-    starts = [0] * (inst.n + 2)
-    for u, w in inst.edges:
-        if w > u + 3:
-            starts[u + 4] += 1
-            starts[w + 1] -= 1
-    members, covering = [], 0
-    for v in range(4, inst.n + 1):
-        covering += starts[v]
-        if covering == 0:
-            members.append(v)
-    return SymmetrySet(tuple(members))
+    n, far = inst.n, inst.v - inst.u > 3
+    starts = (np.bincount(inst.u[far] + 4, minlength=n + 2)
+              - np.bincount(inst.v[far] + 1, minlength=n + 2))
+    covering = starts[:n + 1].cumsum()
+    return SymmetrySet(tuple(((covering[4:] == 0).nonzero()[0] + 4).tolist()))
 
 
 def expand_symmetry(bits: str, sym: SymmetrySet) -> set[str]:

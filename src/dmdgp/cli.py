@@ -46,6 +46,10 @@ EXIT_DATA = 65
 
 DEFAULT_SHOTS = 8196
 
+#: A document that fails validation prints its first violations only: an
+#: empty edge list over n vertices breaks n - 3 cliques.
+VIOLATIONS_SHOWN = 10
+
 #: `grover` holds several N-length arrays and prints two N-row tables, so it
 #: stops at 2^22 outcomes (n <= 25), below the scan cap.  Its message
 #: estimates the run from per-outcome costs measured at N = 2^19 (n = 22)
@@ -93,10 +97,12 @@ def _load_instance(path: str) -> tuple[DmdgpInstance, GroundTruth | None]:
         inst, ground = parse_document(text)
     except ParseError as exc:
         raise CliError(EXIT_DATA, f"{path}: {exc}") from exc
-    report = validate(inst)
+    report = validate(inst, limit=VIOLATIONS_SHOWN)
     if not report.ok:
-        lines = "\n".join(f"  {v.rule}: {v.message}" for v in report.violations)
-        raise CliError(EXIT_DATA, f"{path}: instance fails validation:\n{lines}")
+        lines = [f"  {v.rule}: {v.message}" for v in report.violations]
+        if report.more:
+            lines.append(f"  ... and {report.more} more")
+        raise CliError(EXIT_DATA, f"{path}: instance fails validation:\n" + "\n".join(lines))
     return inst, ground
 
 

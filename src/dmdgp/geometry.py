@@ -79,15 +79,15 @@ class InternalCoords:
                 f"inconsistent lengths: {bonds.size} bonds, "
                 f"{angles.size} angles, {cosines.size} torsion cosines"
             )
-        if np.any(bonds <= 0):
+        if (bonds <= 0).any():
             raise ValueError("bond lengths must be positive")
-        if np.any(angles <= 0) or np.any(angles >= math.pi):
+        if (angles <= 0).any() or (angles >= math.pi).any():
             raise ValueError("planar angles must lie strictly inside (0, pi)")
-        if np.any(np.abs(cosines) > 1.0 + COS_TOLERANCE):
+        if (np.abs(cosines) > 1.0 + COS_TOLERANCE).any():
             raise ValueError("torsion cosine outside [-1, 1] beyond tolerance")
         object.__setattr__(self, "bonds", _frozen(bonds))
         object.__setattr__(self, "angles", _frozen(angles))
-        object.__setattr__(self, "torsion_cosines", _frozen(np.clip(cosines, -1.0, 1.0)))
+        object.__setattr__(self, "torsion_cosines", _frozen(cosines.clip(-1.0, 1.0)))
 
     @property
     def n(self) -> int:
@@ -299,9 +299,7 @@ def _sign_blocks(internal: InternalCoords,
 def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-based endpoints u, v and squared distances d_uv^2 of every edge,
     the form `penalties` takes the instance in."""
-    ends = np.array(list(inst.edges), dtype=np.intp).reshape(-1, 2) - 1
-    d = np.fromiter(inst.edges.values(), dtype=float, count=len(inst.edges))
-    return ends[:, 0], ends[:, 1], d * d
+    return inst.u - 1, inst.v - 1, inst.d * inst.d
 
 
 def penalties(points: np.ndarray,
@@ -339,38 +337,38 @@ def extract_internal(inst: "DmdgpInstance") -> InternalCoords:
                  sqrt(4 d_{i-3,i-2}^2 d_{i-2,i-1}^2 - a1^2) sqrt(4 d_{i-2,i-1}^2 d_{i-2,i}^2 - a2^2)
     """
     n = inst.n
-    d = inst.weight
-    bonds = np.array([d(i - 1, i) for i in range(2, n + 1)])
-    angles = np.empty(n - 2)
-    for i in range(3, n + 1):
-        a, b, c = d(i - 2, i - 1), d(i - 1, i), d(i - 2, i)
-        cos_t = (a * a + b * b - c * c) / (2.0 * a * b)
-        if abs(cos_t) > 1.0 + COS_TOLERANCE:
-            raise InconsistentDistances(f"degenerate triple at vertex {i}: |cos theta| > 1")
-        angles[i - 3] = math.acos(min(1.0, max(-1.0, cos_t)))
-    cosines = np.empty(n - 3)
-    for i in range(4, n + 1):
-        cosines[i - 4] = _torsion_cosine(
-            d(i - 3, i - 2), d(i - 3, i - 1), d(i - 3, i),
-            d(i - 2, i - 1), d(i - 2, i), d(i - 1, i),
-        )
-    return InternalCoords(bonds, angles, cosines)
+    d1, d2, d3 = inst.clique_weights
+    if math.isnan(d1.sum() + d2.sum() + d3.sum()):
+        raise ValueError("instance lacks a clique pair: validate it first")
+    # the triples (i-2, i-1, i) for i = 3..n
+    a, b, c = d1[:-1], d1[1:], d2
+    cos_t = (a * a + b * b - c * c) / (2.0 * a * b)
+    bad = (np.abs(cos_t) > 1.0 + COS_TOLERANCE).nonzero()[0]
+    if bad.size:
+        raise InconsistentDistances(f"degenerate triple at vertex {bad[0] + 3}: |cos theta| > 1")
+    # math.acos, as `_branch_matrices` takes math.cos: np.arccos may differ in the last bit
+    angles = np.fromiter(map(math.acos, cos_t.clip(-1.0, 1.0).tolist()), float, n - 2)
+    cosines = _torsion_cosine(d1[:-2], d2[:-1], d3, d1[1:-1], d2[1:], d1[2:])
+    return InternalCoords(d1, angles, cosines)
 
 
-def _torsion_cosine(d12: float, d13: float, d14: float,
-                    d23: float, d24: float, d34: float) -> float:
-    """cos of the dihedral of a quadruple from its six distances."""
+def _torsion_cosine(d12, d13, d14, d23, d24, d34):
+    """cos of the dihedral of each quadruple from its six distances, given
+    as floats or as arrays over quadruples."""
     a1 = d12 * d12 + d23 * d23 - d13 * d13
     a2 = d23 * d23 + d24 * d24 - d34 * d34
     s1 = 4.0 * d12 * d12 * d23 * d23 - a1 * a1
     s2 = 4.0 * d23 * d23 * d24 * d24 - a2 * a2
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise InconsistentDistances("collinear triple: torsion angle undefined")
     num = 2.0 * d23 * d23 * (d12 * d12 + d24 * d24 - d14 * d14) - a1 * a2
-    cos_w = num / (math.sqrt(s1) * math.sqrt(s2))
-    if abs(cos_w) > 1.0 + COS_TOLERANCE:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_w = num / (np.sqrt(s1) * np.sqrt(s2))
+    # a collinear triple (s1 or s2 <= 0) makes cos_w NaN or infinite
+    bad = np.ravel(~(np.abs(cos_w) <= 1.0 + COS_TOLERANCE)).nonzero()[0]
+    if bad.size:
+        if min(np.ravel(s1)[bad[0]], np.ravel(s2)[bad[0]]) <= 0.0:
+            raise InconsistentDistances("collinear triple: torsion angle undefined")
         raise InconsistentDistances("torsion cosine outside [-1, 1]: inconsistent distances")
-    return min(1.0, max(-1.0, cos_w))
+    return cos_w.clip(-1.0, 1.0)
 
 
 def quad_end_distance(bonds: tuple[float, float, float],

@@ -9,12 +9,13 @@ conformation, so the ground-truth answer is known exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,54 +46,173 @@ class ParseError(ValueError):
     """Raised for malformed instance documents."""
 
 
+#: Exact types the edge rules accept.  type(True) is bool, so a bool is no
+#: integer and no number, and 1.0 is no endpoint.
+_ROW = frozenset({list})
+_INTEGER = frozenset({int})
+_NUMBER = frozenset({int, float})
+
+
+class _FirstFailure:
+    """The first row that fails a rule, the rules taken in order at each row.
+
+    `test` takes a mask of failing rows, or None when no row fails.  Only
+    the rows before `row` count, and those pass every earlier test, so a
+    mask may be computed from what those rows are known to hold (lists of
+    three, integers, u < v).  After the last test, `row` is the first row
+    that fails any rule and `message` names the first rule it fails, or is
+    None when every row passes.
+    """
+
+    def __init__(self, rows: int) -> None:
+        self.row, self.message = rows, None
+
+    def test(self, bad: np.ndarray | None, message: Callable[[int], str]) -> None:
+        if bad is not None:
+            hit = bad.nonzero()[0][:1]
+            if hit.size and hit[0] < self.row:
+                self.row = int(hit[0])
+                self.message = message(self.row)
+
+    def range_rule(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
+        """The range rule, for rows with u < v."""
+        self.test((u < 1) | (v > n), lambda r: f"edge {{{u[r]},{v[r]}}} outside vertex range 1..{n}")
+
+    def weight_rule(self, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
+        self.test(~((d > 0.0) & (d < math.inf)),
+                  lambda r: f"non-positive weight {float(d[r])} on edge {{{u[r]},{v[r]}}}")
+
+
+def _wrong_type(types: frozenset, *columns: Sequence) -> np.ndarray | None:
+    """Mask of the rows of `columns` holding a value whose exact type is not
+    one of `types`, or None when there is none."""
+    if set(map(type, itertools.chain(*columns))) <= types:
+        return None
+    return np.fromiter((not set(map(type, row)) <= types for row in zip(*columns)),
+                       bool, len(columns[0]))
+
+
+def _endpoints(us: Sequence[int], vs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ints as intp arrays, or as object arrays when one does not fit, so
+    that a huge endpoint fails the range rule instead of the conversion."""
+    try:
+        uv = np.fromiter(itertools.chain(us, vs), np.intp, len(us) + len(vs))
+    except OverflowError:
+        uv = np.array(us + vs, dtype=object)
+    return uv[:len(us)], uv[len(us):]
+
+
+def _floats(values: Sequence[float]) -> np.ndarray:
+    try:
+        return np.fromiter(values, float, len(values))
+    except OverflowError:  # an int beyond the doubles is infinite
+        return np.array([min(max(x, -math.inf), math.inf) for x in values])
+
+
+def _repeats(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Mask of the rows whose pair (u, v) an earlier row already has, or None
+    when the pairs ascend, as in a document, and so none repeats."""
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return None
+    order = np.lexsort((v, u))
+    su, sv = u[order], v[order]
+    repeat = np.zeros(u.size, bool)
+    repeat[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
+    return repeat
+
+
+class _EdgeView(Mapping):
+    """Read-only mapping (u, v) -> d over an instance's edge arrays, in their
+    order.  Its length is the arrays' size; lookups build a dict once."""
+
+    __slots__ = ("_u", "_v", "_d", "_dict")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
+        self._u, self._v, self._d, self._dict = u, v, d, None
+
+    def __len__(self) -> int:
+        return self._u.size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._u.tolist(), self._v.tolist())
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        if self._dict is None:
+            self._dict = dict(zip(self, self._d.tolist()))
+        return self._dict[key]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class DmdgpInstance:
     """Weighted graph with the discretization vertex order.
 
-    `edges` maps (u, v) with u < v to a positive distance.  Structural
-    sanity (vertex range, no self-loops, positive weights) is enforced
-    here; the clique/triangle/ceiling rules are data checks performed
-    by `validate`.
+    `DmdgpInstance(n, edges)` takes a mapping (u, v) -> distance and swaps
+    a reversed key.  The instance holds the edges once, as read-only arrays
+    in the mapping's order: endpoints `u` < `v` and distances `d`.  `edges`
+    becomes a read-only mapping view of them.  Structural sanity (vertex
+    range, no self-loops or repeated pairs, finite positive weights) is
+    enforced here; the clique/triangle/ceiling rules are data checks
+    performed by `validate`.
     """
 
     n: int
     edges: Mapping[tuple[int, int], float]
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 4:
             raise ValueError(f"vertex count must be an integer >= 4, got {self.n}")
-        clean: dict[tuple[int, int], float] = {}
-        for key, w in dict(self.edges).items():
-            u, v = key
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise ValueError(f"edge endpoints must be integers: {key}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge {{{u},{v}}} outside vertex range 1..{self.n}")
-            if (u, v) in clean:
-                raise ValueError(f"duplicate edge {{{u},{v}}}")
-            w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"non-positive weight {w} on edge {{{u},{v}}}")
-            clean[(u, v)] = w
-        object.__setattr__(self, "edges", MappingProxyType(clean))
+        keys, weights = list(self.edges), list(self.edges.values())
+        us, vs = tuple(zip(*keys)) or ((), ())
+        first = _FirstFailure(len(keys))
+        first.test(_wrong_type(_INTEGER, us, vs),
+                   lambda r: f"edge endpoints must be integers: {keys[r]}")
+        u, v = _endpoints(us[:first.row], vs[:first.row])
+        first.test(u == v, lambda r: f"self-loop at vertex {u[r]}")
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        first.range_rule(self.n, u, v)
+        first.test(_repeats(u, v), lambda r: f"duplicate edge {{{u[r]},{v[r]}}}")
+        d = _floats(weights[:first.row])
+        first.weight_rule(u, v, d)
+        if first.message:
+            raise ValueError(first.message)
+        self._hold(u, v, d)
 
-    def weight(self, u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        return self.edges[(u, v)]
+    @classmethod
+    def _checked(cls, n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> "DmdgpInstance":
+        """An instance over arrays that already pass the constructor's rules."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        inst._hold(u, v, d)
+        return inst
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+    def _hold(self, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
+        for name, a in (("u", u), ("v", v), ("d", d)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "edges", _EdgeView(u, v, d))
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Edges as (u, v, weight), sorted by (u, v)."""
-        return [(u, v, d) for (u, v), d in sorted(self.edges.items())]
+        o = np.lexsort((self.v, self.u))
+        return list(zip(self.u[o].tolist(), self.v[o].tolist(), self.d[o].tolist()))
+
+    @cached_property
+    def clique_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only d(j, j + g) for j = 1..n - g, for g = 1, 2 and 3; NaN
+        where the pair is no edge.  The clique pairs are scattered into a
+        table of d(u, u + g) by gap g and u."""
+        n, gap = self.n, self.v - self.u
+        near = gap <= 3
+        table = np.full((4, n), np.nan)
+        table[gap[near], self.u[near] - 1] = self.d[near]
+        table.flags.writeable = False
+        return table[1, :n - 1], table[2, :n - 2], table[3, :n - 3]
 
 
 @dataclass(frozen=True)
@@ -106,10 +226,12 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...] = field(default_factory=tuple)
+    #: violations found past `validate`'s limit: counted, not listed
+    more: int = 0
 
     def __post_init__(self) -> None:
-        if self.ok != (len(self.violations) == 0):
-            raise ValueError("ok must be true exactly when violations is empty")
+        if self.ok != (len(self.violations) + self.more == 0):
+            raise ValueError("ok must be true exactly when no violation is listed or counted")
 
 
 @dataclass(frozen=True)
@@ -125,53 +247,100 @@ def clique_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(1, n) for v in range(u + 1, min(u + 4, n + 1))]
 
 
-def validate(inst: DmdgpInstance) -> ValidationReport:
-    """Check the discretization rules; violations are data, not errors."""
+#: The six pairs of a quadruple (j..j+3) as offsets from j, in the order a
+#: clique violation lists them.
+_QUAD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def validate(inst: DmdgpInstance, limit: int | None = None) -> ValidationReport:
+    """Check the discretization rules; violations are data, not errors.
+
+    Every rule is an array test.  The report lists the violations in rule
+    order, at most `limit` of them, and counts the rest in `more`: only the
+    listed ones are formatted.
+    """
+    n = inst.n
+    w = inst.clique_weights
+    # the quadruples j..j+3 with a pair that is no edge: NaN in the sum
+    cliques = np.isnan(sum(w[b - a - 1][a:a + n - 3] for a, b in _QUAD_PAIRS)).nonzero()[0]
+    # the triangles (j, j+1, j+2) that are not strict; a comparison with
+    # the NaN of a missing pair is false
+    a, b, c = w[0][:-1], w[0][1:], w[1]
+    triangles = ((c <= np.abs(a - b)) | (c >= a + b)).nonzero()[0] + 1
+    over = (inst.d > MAX_DISTANCE).nonzero()[0]
+    if over.size:  # listed in (u, v) order
+        over = over[np.lexsort((inst.v[over], inst.u[over]))]
+    found = cliques.size + triangles.size + over.size
+    limit = found if limit is None else limit
+
     violations: list[Violation] = []
-    for i in range(4, inst.n + 1):
-        quad = (i - 3, i - 2, i - 1, i)
-        missing = [
-            (u, v)
-            for idx, u in enumerate(quad)
-            for v in quad[idx + 1:]
-            if not inst.has_edge(u, v)
-        ]
-        if missing:
-            pairs = ", ".join(f"{{{u},{v}}}" for u, v in missing)
-            violations.append(
-                Violation("clique", f"clique i={i} incomplete: missing {pairs}", quad)
+    for j in cliques[:limit].tolist():
+        quad = (j + 1, j + 2, j + 3, j + 4)
+        pairs = ", ".join(f"{{{quad[a]},{quad[b]}}}" for a, b in _QUAD_PAIRS
+                          if math.isnan(w[b - a - 1][j + a]))
+        violations.append(
+            Violation("clique", f"clique i={j + 4} incomplete: missing {pairs}", quad)
+        )
+    for j in triangles[:limit - len(violations)].tolist():
+        i = min(j + 3, n)
+        violations.append(
+            Violation(
+                "triangle",
+                f"triangle inequality not strict at i={i}: need "
+                f"|d({j},{j+1}) - d({j+1},{j+2})| < d({j},{j+2}) "
+                f"< d({j},{j+1}) + d({j+1},{j+2})",
+                (j, j + 1, j + 2),
             )
-    for j in range(1, inst.n - 1):
-        triple = (j, j + 1, j + 2)
-        if all(inst.has_edge(u, v) for u in triple for v in triple if u < v):
-            a = inst.weight(j, j + 1)
-            b = inst.weight(j + 1, j + 2)
-            c = inst.weight(j, j + 2)
-            if not abs(a - b) < c < a + b:
-                i = min(j + 3, inst.n)
-                violations.append(
-                    Violation(
-                        "triangle",
-                        f"triangle inequality not strict at i={i}: need "
-                        f"|d({j},{j+1}) - d({j+1},{j+2})| < d({j},{j+2}) "
-                        f"< d({j},{j+1}) + d({j+1},{j+2})",
-                        triple,
-                    )
-                )
-    for (u, v), d in sorted(inst.edges.items()):
-        if d > MAX_DISTANCE:
-            violations.append(
-                Violation(
-                    "weight-ceiling",
-                    f"weight {d:g} on {{{u},{v}}} exceeds {MAX_DISTANCE} A",
-                    (u, v),
-                )
+        )
+    over = over[:limit - len(violations)]
+    for u, v, d in zip(inst.u[over].tolist(), inst.v[over].tolist(), inst.d[over].tolist()):
+        violations.append(
+            Violation(
+                "weight-ceiling",
+                f"weight {d:g} on {{{u},{v}}} exceeds {MAX_DISTANCE} A",
+                (u, v),
             )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+        )
+    return ValidationReport(ok=not found, violations=tuple(violations),
+                            more=found - len(violations))
 
 
 # ---------------------------------------------------------------------------
 # JSON document format
+
+
+def _instance_from_rows(n: int, rows: list) -> DmdgpInstance:
+    """The instance of a document's edge rows [u, v, d].
+
+    Each rule runs once over all rows.  A malformed document fails at the
+    first row that breaks a row rule, taking the rules in the order below;
+    only then come the vertex count and, edge by edge, the range and weight
+    rules of the constructor.
+    """
+    first = _FirstFailure(len(rows))
+    first.test(_wrong_type(_ROW, rows), lambda r: "expected [u, v, d]")
+    lengths = list(map(len, rows[:first.row]))
+    first.test(None if set(lengths) <= {3} else np.array(lengths) != 3,
+               lambda r: "expected [u, v, d]")
+    us, vs, ds = tuple(zip(*rows[:first.row])) or ((), (), ())
+    first.test(_wrong_type(_INTEGER, us, vs), lambda r: "endpoints must be integers")
+    first.test(_wrong_type(_NUMBER, ds), lambda r: "weight must be a number")
+    u, v = _endpoints(us[:first.row], vs[:first.row])
+    first.test(u >= v, lambda r: f"self-loop at vertex {u[r]}" if u[r] == v[r]
+               else "endpoints must satisfy u < v")
+    first.test(_repeats(u[:first.row], v[:first.row]),
+               lambda r: f"duplicate edge {{{u[r]},{v[r]}}}")
+    if first.message:
+        raise ParseError(f"edge {first.row + 1}: {first.message}")
+    if n < 4:
+        raise ParseError(f"vertex count must be an integer >= 4, got {n}")
+    d = _floats(ds)
+    first = _FirstFailure(len(rows))
+    first.range_rule(n, u, v)
+    first.weight_rule(u, v, d)
+    if first.message:
+        raise ParseError(first.message)
+    return DmdgpInstance._checked(n, u, v, d)
 
 
 def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
@@ -187,29 +356,9 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"field 'n' must be an integer, got {n!r}")
-    raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
+    if not isinstance(doc["edges"], list):
         raise ParseError("field 'edges' must be an array")
-    edges: dict[tuple[int, int], float] = {}
-    for row, item in enumerate(raw_edges, start=1):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"edge {row}: expected [u, v, d]")
-        u, v, d = item
-        if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
-            raise ParseError(f"edge {row}: endpoints must be integers")
-        if not isinstance(d, (int, float)) or isinstance(d, bool):
-            raise ParseError(f"edge {row}: weight must be a number")
-        if u == v:
-            raise ParseError(f"edge {row}: self-loop at vertex {u}")
-        if u > v:
-            raise ParseError(f"edge {row}: endpoints must satisfy u < v")
-        if (u, v) in edges:
-            raise ParseError(f"edge {row}: duplicate edge {{{u},{v}}}")
-        edges[(u, v)] = float(d)
-    try:
-        inst = DmdgpInstance(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    inst = _instance_from_rows(n, doc["edges"])
 
     ground: GroundTruth | None = None
     if "ground_truth" in doc and doc["ground_truth"] is not None:
@@ -224,12 +373,14 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
             check_bits(bits, n - 3)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        if (
-            not isinstance(coords, list)
-            or len(coords) != n
-            or any(not (isinstance(p, list) and len(p) == 3) for p in coords)
+        if not (
+            isinstance(coords, list)
+            and len(coords) == n
+            and set(map(type, coords)) <= _ROW
+            and set(map(len, coords)) <= {3}
+            and set(map(type, itertools.chain.from_iterable(coords))) <= _NUMBER
         ):
-            raise ParseError(f"ground_truth.coords must be an array of {n} [x, y, z] rows")
+            raise ParseError(f"ground_truth.coords must be an array of {n} [x, y, z] rows of numbers")
         ground = GroundTruth(bits, Conformation(np.array(coords, dtype=float)))
     return inst, ground
 

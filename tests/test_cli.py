@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdgp import (
+    DmdgpInstance,
     branch_and_prune,
     data_file,
     demo7_instance,
@@ -426,6 +428,50 @@ class TestUnrealizableInstance:
         assert out == ""
         assert err.splitlines() == [
             f"dmdgp: error: {path}: torsion cosine outside [-1, 1]: inconsistent distances"
+        ]
+
+
+class TestInvalidDocument:
+    @pytest.mark.parametrize("coordinate", ["x", [1], None])
+    def test_coordinate_of_the_wrong_type_is_data_error(self, tmp_path, capsys, coordinate):
+        doc = json.loads(serialize_instance(*demo7_instance()))
+        doc["ground_truth"]["coords"][2][1] = coordinate
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"dmdgp: error: {path}: ground_truth.coords must be an array of 7 [x, y, z] "
+            "rows of numbers"
+        ]
+
+    def test_violation_listing_is_capped(self, tmp_path, capsys):
+        # every one of the 199997 cliques is incomplete
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 200000, "edges": []}', encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["solve", str(path)]) == EXIT_DATA
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 12
+        assert lines[0] == f"dmdgp: error: {path}: instance fails validation:"
+        assert lines[1] == ("  clique: clique i=4 incomplete: missing "
+                            "{1,2}, {1,3}, {1,4}, {2,3}, {2,4}, {3,4}")
+        assert lines[-1] == "  ... and 199987 more"
+
+    def test_short_violation_listing_is_whole(self, tmp_path, capsys):
+        inst, _ = demo7_instance()
+        edges = dict(inst.edges)
+        edges[(1, 6)] = 6.5
+        path = tmp_path / "ceiling.json"
+        path.write_text(serialize_instance(DmdgpInstance(7, edges)), encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"dmdgp: error: {path}: instance fails validation:",
+            "  weight-ceiling: weight 6.5 on {1,6} exceeds 6.0 A",
         ]
 
 

@@ -51,6 +51,28 @@ class TestConstruction:
         inst = DmdgpInstance(4, small_edges())
         with pytest.raises(TypeError):
             inst.edges[(1, 2)] = 2.0
+        with pytest.raises(ValueError):
+            inst.d[0] = 2.0
+
+    def test_reversed_keys_are_swapped(self):
+        edges = small_edges()
+        inst = DmdgpInstance(4, {(v, u): d for (u, v), d in edges.items()})
+        assert inst == DmdgpInstance(4, edges)
+        assert list(inst.edges.items()) == list(edges.items())
+
+    def test_reversed_repeat_is_a_duplicate(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \{1,2\}$"):
+            DmdgpInstance(4, {(1, 2): 1.0, (2, 1): 1.0})
+
+    def test_edges_view_is_the_given_mapping(self):
+        inst, _ = generate(12, 4, 0.5)
+        edges = dict(zip(zip(inst.u.tolist(), inst.v.tolist()), inst.d.tolist()))
+        view = DmdgpInstance(12, edges).edges
+        assert len(view) == len(edges)
+        assert view._dict is None  # the length is the arrays' size: no dict is built
+        assert list(view.items()) == list(edges.items())
+        assert view == edges and dict(view) == edges
+        assert (3, 1) not in view and view.get((1, 3)) == edges[(1, 3)]
 
 
 class TestParse:
