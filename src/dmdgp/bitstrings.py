@@ -7,6 +7,8 @@ belongs to the lowest branching vertex (vertex 4).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 
@@ -16,14 +18,20 @@ def int_to_bits(k: int, width: int) -> str:
     return format(k, f"0{width}b")
 
 
-def all_bits(width: int) -> list[str]:
-    """int_to_bits(k, width) for every k in 0..2^width - 1, in order: one
-    byte array of digit rows, filled a bit column at a time and decoded and
-    split once, rather than one format call per index."""
-    k = np.arange(1 << width)
+def all_bits(width: int, index: Sequence[int] | np.ndarray | None = None) -> list[str]:
+    """int_to_bits(k, width) for every k in `index`, by default 0..2^width - 1,
+    in order.  Up to 63 bits they are one byte array of digit rows, unpacked
+    from the indices' bytes and decoded and split once, rather than one
+    format call per index; wider indices are Python ints, formatted one by
+    one."""
+    k = np.arange(1 << width) if index is None else np.asarray(index)
+    if width > 63:
+        return [format(j, f"0{width}b") for j in k.tolist()]
+    # the big-endian bytes that hold each index's low `width` bits
+    size = -(-width // 8)
+    low = k.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size:]
     rows = np.full((k.size, width + 1), ord("\n"), dtype=np.uint8)
-    for j in range(width):
-        rows[:, j] = ord("0") + ((k >> (width - 1 - j)) & 1)
+    np.add(np.unpackbits(low, axis=1)[:, 8 * size - width:], ord("0"), out=rows[:, :width])
     return rows.tobytes().decode("ascii").split()
 
 

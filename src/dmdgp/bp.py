@@ -24,10 +24,11 @@ from .oracle import DEFAULT_DELTA
 
 #: Points (rows times n) a block of the walk holds in mode "first".  A wide
 #: block reaches the first leaf of a bushy tree in fewer doubling steps
-#: than single rows do, but on a long chain each extra row, often the
-#: mirror image of the first, is n more points copied per level and is
-#: never read.  256 allows 18 rows at n = 14, 12 at n = 20 and one past
-#: n = 128; no single row count was as fast on both kinds of tree.
+#: than single rows do, but on a long chain each extra row is n more
+#: points copied per level and is never read: a partial chain that a later
+#: edge prunes, or a solution past the first.  256 allows 18 rows at
+#: n = 14, 12 at n = 20 and one past n = 128; no single row count was as
+#: fast on both kinds of tree.
 FIRST_BLOCK_POINTS = 256
 
 
@@ -126,6 +127,17 @@ def branch_and_prune(
 
     mode="first" stops at the first such leaf, mode="all" returns every
     one.
+
+    Vertex 4 is in S for every instance: reflecting a chain through the
+    plane z = 0 of the fixed root x1..x3 negates z at vertices 4..n, flips
+    every sign bit (leaf k <-> 2^(n-3) - 1 - k) and keeps every distance.
+    So the walk covers only vertex 4's 0 subtree, which holds the first
+    leaf, and mode "all" appends the mirror rows in reverse order.
+    Negation is exact and the walk's arithmetic commutes with it, so they
+    are the rows a walk of the 1 subtree computes, bit for bit, except
+    that a coordinate computed as exactly zero may come out as 0.0 in both
+    subtrees.  A row with such a coordinate (a planar torsion puts the
+    chain in the plane z = 0) sends mode "all" through the whole tree.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
@@ -135,15 +147,32 @@ def branch_and_prune(
         limit, cap = 1, max(1, FIRST_BLOCK_POINTS // inst.n)
     else:
         limit, cap = None, 1 << BLOCK_LEVELS
-    index, blocks, gs = [], [], []
-    for k, block, g in _sign_blocks(internal, edge_arrays(inst), delta, cap):
-        index += k[:limit].tolist()
-        blocks.append(block[:limit])
-        gs.append(g[:limit])
-        if limit:
-            break
-    if not index:
+    edges = edge_arrays(inst)
+
+    def leaves(half):
+        ks, blocks, gs = [], [], []
+        for k, block, g in _sign_blocks(internal, edges, delta, cap, _half=half):
+            ks.append(k[:limit])
+            blocks.append(block[:limit])
+            gs.append(g[:limit])
+            if limit:
+                break
+        return ks, blocks, gs
+
+    ks, blocks, gs = leaves(True)
+    mirror = limit is None and all(block[:, 3:].all() for block in blocks)
+    if limit is None and not mirror:
+        ks, blocks, gs = leaves(False)
+    if not ks:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
-    points = np.concatenate(blocks)
+    if mirror:  # the 1 subtree: the 0 subtree's blocks reversed, z negated below
+        top = (1 << (inst.n - 3)) - 1
+        ks += [top - k[::-1] for k in reversed(ks)]
+        blocks += [block[::-1] for block in reversed(blocks)]
+        gs += [g[::-1] for g in reversed(gs)]
+    index, points, g = (np.concatenate(a) for a in (ks, blocks, gs))
+    if mirror:
+        z = points[index.size >> 1:, 3:, 2]
+        np.negative(z, out=z)
     points.flags.writeable = False
-    return SolutionSet(tuple(index), points, np.concatenate(gs))
+    return SolutionSet(tuple(index.tolist()), points, g)

@@ -292,8 +292,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("no solution")
         return EXIT_NO_SOLUTION
     print(f"solutions found: {len(solutions)}")
-    row = f"  bits={{0:0{inst.n - 3}b}}  index={{0}}  penalty={{1:.3e}}\n".format
-    print("".join(map(row, solutions.index, solutions.penalties.tolist())), end="")
+    # each distinct penalty is formatted once
+    penalties, inverse = _distinct(solutions.penalties)
+    tails = list(map("  penalty={:.3e}".format, penalties.tolist()))
+    bits = all_bits(inst.n - 3, solutions.index)
+    print(_rows(list(map("bits={}  index={}".format, bits, solutions.index)), tails, inverse))
     return EXIT_OK
 
 

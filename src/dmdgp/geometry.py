@@ -224,7 +224,8 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
 def _sign_blocks(internal: InternalCoords,
                  edges: tuple[np.ndarray, np.ndarray, np.ndarray],
                  delta: float = math.inf,
-                 cap: int = 1 << BLOCK_LEVELS
+                 cap: int = 1 << BLOCK_LEVELS,
+                 _half: bool = False
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one walk of the sign tree: (index (K,), points (K, n, 3), g (K,))
     per block of leaves with penalty g < delta over `edges` (from
@@ -244,6 +245,10 @@ def _sign_blocks(internal: InternalCoords,
     decreases and no leaf with g < delta is lost.  Each row also carries
     its sign bits, so an index is exact at any depth: int64 while
     n - 3 <= 63, Python ints (dtype object) past that.
+
+    `_half` walks only the subtree of vertex 4's 0 child, the leaves
+    0..2^(n-4) - 1; the rest of the tree is its mirror image (see
+    `bp.branch_and_prune`).
     """
     n = internal.n
     # the edges vertex i closes (vertex 3 closes those of the fixed root
@@ -283,6 +288,8 @@ def _sign_blocks(internal: InternalCoords,
             block = block.repeat(2, axis=0)
             block[:, v - 1] = qs[:, :3, 3]
             gs = gs.repeat(2) + penalties(block, closes[v])
+            if v == 4 and _half:
+                gs[1] = math.inf  # the root's 1 child: its subtree is not walked
             bits = bits.repeat(2, axis=0)
             bits[1::2, v - 4] = 1
             kept = (gs < delta).nonzero()[0]
@@ -342,10 +349,13 @@ def extract_internal(inst: "DmdgpInstance") -> InternalCoords:
         raise ValueError("instance lacks a clique pair: validate it first")
     # the triples (i-2, i-1, i) for i = 3..n
     a, b, c = d1[:-1], d1[1:], d2
-    cos_t = (a * a + b * b - c * c) / (2.0 * a * b)
-    bad = (np.abs(cos_t) > 1.0 + COS_TOLERANCE).nonzero()[0]
+    with np.errstate(all="ignore"):
+        cos_t = (a * a + b * b - c * c) / (2.0 * a * b)
+    # squares past the doubles' range make cos theta NaN, which passes no test
+    bad = (~(np.abs(cos_t) <= 1.0 + COS_TOLERANCE)).nonzero()[0]
     if bad.size:
-        raise InconsistentDistances(f"degenerate triple at vertex {bad[0] + 3}: |cos theta| > 1")
+        why = "cos theta is NaN" if math.isnan(cos_t[bad[0]]) else "|cos theta| > 1"
+        raise InconsistentDistances(f"degenerate triple at vertex {bad[0] + 3}: {why}")
     # math.acos, as `_branch_matrices` takes math.cos: np.arccos may differ in the last bit
     angles = np.fromiter(map(math.acos, cos_t.clip(-1.0, 1.0).tolist()), float, n - 2)
     cosines = _torsion_cosine(d1[:-2], d2[:-1], d3, d1[1:-1], d2[1:], d1[2:])
@@ -355,14 +365,15 @@ def extract_internal(inst: "DmdgpInstance") -> InternalCoords:
 def _torsion_cosine(d12, d13, d14, d23, d24, d34):
     """cos of the dihedral of each quadruple from its six distances, given
     as floats or as arrays over quadruples."""
-    a1 = d12 * d12 + d23 * d23 - d13 * d13
-    a2 = d23 * d23 + d24 * d24 - d34 * d34
-    s1 = 4.0 * d12 * d12 * d23 * d23 - a1 * a1
-    s2 = 4.0 * d23 * d23 * d24 * d24 - a2 * a2
-    num = 2.0 * d23 * d23 * (d12 * d12 + d24 * d24 - d14 * d14) - a1 * a2
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
+        a1 = d12 * d12 + d23 * d23 - d13 * d13
+        a2 = d23 * d23 + d24 * d24 - d34 * d34
+        s1 = 4.0 * d12 * d12 * d23 * d23 - a1 * a1
+        s2 = 4.0 * d23 * d23 * d24 * d24 - a2 * a2
+        num = 2.0 * d23 * d23 * (d12 * d12 + d24 * d24 - d14 * d14) - a1 * a2
         cos_w = num / (np.sqrt(s1) * np.sqrt(s2))
-    # a collinear triple (s1 or s2 <= 0) makes cos_w NaN or infinite
+    # a collinear triple (s1 or s2 <= 0) makes cos_w NaN or infinite, and so
+    # does a product past the doubles' range
     bad = np.ravel(~(np.abs(cos_w) <= 1.0 + COS_TOLERANCE)).nonzero()[0]
     if bad.size:
         if min(np.ravel(s1)[bad[0]], np.ravel(s2)[bad[0]]) <= 0.0:

@@ -27,6 +27,12 @@ from .geometry import Conformation, InternalCoords, quad_end_distance, realize
 #: normalization assumes.
 MAX_DISTANCE = 6.0
 
+#: Largest vertex count a document may declare.  `validate` holds a (4, n)
+#: table and a few n-length temporaries, ~56 B per vertex at its peak (59 MB
+#: at this limit), so a document declaring n in the billions fails in one
+#: line instead of running out of memory.
+MAX_VERTICES = 1 << 20
+
 #: Generator draw ranges (angstroms / radians).
 BOND_RANGE = (1.0, 1.8)
 ANGLE_RANGE = (math.pi / 3, 2 * math.pi / 3)
@@ -334,6 +340,8 @@ def _instance_from_rows(n: int, rows: list) -> DmdgpInstance:
         raise ParseError(f"edge {first.row + 1}: {first.message}")
     if n < 4:
         raise ParseError(f"vertex count must be an integer >= 4, got {n}")
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     d = _floats(ds)
     first = _FirstFailure(len(rows))
     first.range_rule(n, u, v)

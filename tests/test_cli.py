@@ -274,6 +274,16 @@ class TestGrover:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "a12ddf2df8c15ce33746444c16c7ef48d1700572e3735f4905b18bb70505df48")
 
+    def test_generated_n15_solve_output_is_pinned(self, tmp_path, capsys):
+        # clique-only n = 15: 4096 rows, half of them mirror rows
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "15", "--seed", "3", "--long-edge-prob", "0.0",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "d568e71c67eb2b8aae6123237a07fb8a0c9c2e38ea5557d775910fbce719d6ed")
+
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
@@ -328,6 +338,17 @@ class TestGrover:
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 10, 13])
 def test_outcome_labels_equal_per_index_formatting(width):
     assert all_bits(width) == [int_to_bits(k, width) for k in range(1 << width)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=20))))
+@example((63, [0, 1, (1 << 63) - 1]))
+@example((64, [(1 << 64) - 1]))
+def test_labels_of_an_index_sequence_equal_per_index_formatting(case):
+    # `solve` labels its rows from BP's index tuple: int64 up to 63 bits
+    width, index = case
+    assert all_bits(width, tuple(index)) == [int_to_bits(k, width) for k in index]
 
 
 # Few distinct values, as the two N-row tables hold, with -0.0 next to 0.0:
@@ -461,6 +482,19 @@ class TestInvalidDocument:
         assert lines[1] == ("  clique: clique i=4 incomplete: missing "
                             "{1,2}, {1,3}, {1,4}, {2,3}, {2,4}, {3,4}")
         assert lines[-1] == "  ... and 199987 more"
+
+    @pytest.mark.parametrize("command", ["solve", "grover", "oracle-scan"])
+    def test_huge_vertex_count_is_one_line(self, tmp_path, capsys, command):
+        # validate would ask for a (4, n) table of 29 TiB
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**12, "edges": [[1, 2, 1.5], [1, 3, 2.5], [2, 3, 1.5]]}),
+                        encoding="utf-8")
+        assert main([command, str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"dmdgp: error: {path}: vertex count 1000000000000 exceeds the limit of 1048576"
+        ]
 
     def test_short_violation_listing_is_whole(self, tmp_path, capsys):
         inst, _ = demo7_instance()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dmdgp import (
 from dmdgp.bitstrings import int_to_bits
 from dmdgp.geometry import (
     BLOCK_LEVELS,
+    InconsistentDistances,
     _sign_blocks,
     _torsion_cosine,
     edge_arrays,
@@ -207,6 +209,19 @@ class TestExtract:
     def test_collinear_triple_raises(self):
         with pytest.raises(ValueError, match="collinear"):
             _torsion_cosine(2.0, 5.0, 6.0, 3.0, 4.0, 1.5)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e300, "degenerate triple at vertex 3: cos theta is NaN"),
+        (1e-300, "degenerate triple at vertex 3: cos theta is NaN"),
+        (1e100, "torsion cosine outside [-1, 1]"),
+    ])
+    def test_weights_past_the_doubles_range_fail_without_warnings(self, scale, message):
+        # squares and products of these weights overflow or underflow; the
+        # test configuration turns any numpy RuntimeWarning into an error
+        inst, _ = generate(7, 1, 0.0)
+        scaled = DmdgpInstance(7, {pair: d * scale for pair, d in inst.edges.items()})
+        with pytest.raises(InconsistentDistances, match=re.escape(message)):
+            extract_internal(scaled)
 
 
 class TestPenalty:

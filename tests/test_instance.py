@@ -19,7 +19,7 @@ from dmdgp import (
     serialize_instance,
     validate,
 )
-from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
+from dmdgp.instance import MAX_DISTANCE, MAX_VERTICES, MIN_PAIR_DISTANCE, clique_pairs
 
 
 def small_edges(n=4, **overrides):
@@ -112,6 +112,11 @@ class TestParse:
         text = serialize_instance(inst, gt).replace('"bits": "', '"bits": "zz')
         with pytest.raises(ParseError):
             parse_document(text)
+
+    def test_vertex_limit_is_inclusive(self):
+        assert parse_instance(f'{{"n": {MAX_VERTICES}, "edges": []}}').n == MAX_VERTICES
+        with pytest.raises(ParseError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
+            parse_instance(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
 
 
 class TestRoundTrip:

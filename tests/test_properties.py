@@ -6,12 +6,14 @@ with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
 the walk yields the same rows whatever its block cap,
+branch-and-prune's half walk and mirror rows are the whole-tree walk's,
 the branch matrices the walk builds as one array are `b_matrix`'s
 doubles, the in-place
 Grover run agrees with the single-step reference `evolve` and the
 closed form, and the two-amplitude `grover_distribution` agrees with
 that N-vector run."""
 
+import itertools
 import math
 import re
 
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdgp import (
+    DmdgpInstance,
     InternalCoords,
     b_matrix,
     branch_and_prune,
@@ -38,7 +41,7 @@ from dmdgp import (
     success_probability,
     symmetry_set,
 )
-from dmdgp.bp import SymmetrySet
+from dmdgp.bp import NoSolutionError, SymmetrySet
 from dmdgp.cli import CliError, run_search
 from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices, _sign_blocks, edge_arrays
 from dmdgp.grover import evolve, iteration_count, uniform_state
@@ -124,6 +127,54 @@ def walk_rows(inst, delta, cap):
 def test_walk_rows_do_not_depend_on_the_block_cap(generated, delta):
     inst, _ = generated
     assert walk_rows(inst, delta, 1) == walk_rows(inst, delta, 1 << BLOCK_LEVELS)
+
+
+def planar_chain(bonds, angles, cosines, bits, long_pairs):
+    """The instance of every clique pair and `long_pairs` of the chain that
+    `realize` builds from these internal coordinates and sign word."""
+    internal = InternalCoords(*map(np.array, (bonds, angles, cosines)))
+    conf = realize(internal, bits)
+    n = internal.n
+    return DmdgpInstance(n, {(u, v): conf.distance(u, v)
+                             for u, v in clique_pairs(n) + sorted(long_pairs)})
+
+
+@st.composite
+def planar_chains(draw):
+    """Instances of n = 4..14 whose torsion cosines are mostly the planar -1
+    and 1, where the two sine branches of a vertex place it alike."""
+    n = draw(st.integers(4, 14))
+    far = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if v > u + 3]
+    return planar_chain(
+        draw(st.lists(st.floats(1.0, 1.8), min_size=n - 1, max_size=n - 1)),
+        draw(st.lists(st.floats(0.5, 2.6), min_size=n - 2, max_size=n - 2)),
+        draw(st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+                      min_size=n - 3, max_size=n - 3)),
+        draw(st.text("01", min_size=n - 3, max_size=n - 3)),
+        draw(st.sets(st.sampled_from(far)) if far else st.just(set())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)).map(lambda generated: generated[0])
+       | planar_chains(),
+       st.sampled_from([1e-4, 1e-10]))
+@example(generate(15, 3, 0.0)[0], 1e-10)
+@example(generate(12, 405007, 0.5)[0], 1e-4)
+# every torsion planar: the chain lies in the plane z = 0, where BP walks the whole tree
+@example(planar_chain([1.5, 1.2, 1.6, 1.3, 1.4, 1.1, 1.7], [2.0, 1.9, 2.1, 1.8, 2.2, 1.7],
+                      [1.0, -1.0, -1.0, 1.0, -1.0], "01101", {(1, 6), (2, 7), (1, 8)}), 1e-10)
+def test_branch_and_prune_rows_are_the_whole_tree_walks(inst, delta):
+    # BP walks vertex 4's 0 subtree and mirrors it; the walk here covers both
+    whole = walk_rows(inst, delta, 1 << BLOCK_LEVELS)
+    for mode, expected in (("all", whole), ("first", whole[:1])):
+        try:
+            sols = branch_and_prune(inst, extract_internal(inst), delta, mode)
+        except NoSolutionError:
+            assert expected == []
+            continue
+        assert [(k, pts.tobytes(), g.tobytes())
+                for k, pts, g in zip(sols.index, sols.points, sols.penalties)] == expected
 
 
 @settings(max_examples=40, deadline=None)
