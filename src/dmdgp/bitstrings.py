@@ -23,16 +23,26 @@ def all_bits(width: int, index: Sequence[int] | np.ndarray | None = None) -> lis
     in order.  Up to 63 bits they are one byte array of digit rows, unpacked
     from the indices' bytes and decoded and split once, rather than one
     format call per index; wider indices are Python ints, formatted one by
-    one."""
-    k = np.arange(1 << width) if index is None else np.asarray(index)
+    one (numpy would make floats of a sequence on both sides of 2^63)."""
     if width > 63:
-        return [format(j, f"0{width}b") for j in k.tolist()]
-    # the big-endian bytes that hold each index's low `width` bits
-    size = -(-width // 8)
-    low = k.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size:]
+        return [format(j, f"0{width}b") for j in index]
+    k = np.arange(1 << width) if index is None else np.asarray(index)
     rows = np.full((k.size, width + 1), ord("\n"), dtype=np.uint8)
-    np.add(np.unpackbits(low, axis=1)[:, 8 * size - width:], ord("0"), out=rows[:, :width])
+    _bit_digits(k, width, rows[:, :width])
     return rows.tobytes().decode("ascii").split()
+
+
+def _bit_digits(k: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Write the digits of each index's low `width` bits, up to 63, into the
+    rows of `out` (K, width): each of the indices' bytes, most significant
+    first, unpacked through a table of its eight ASCII digits."""
+    size = -(-width // 8)
+    low = k.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, size - 1::-1]
+    out[:] = _BYTE_DIGITS.take(low, axis=0).reshape(len(k), 8 * size)[:, 8 * size - width:]
+
+
+#: The eight ASCII binary digits of each byte value, most significant first.
+_BYTE_DIGITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + np.uint8(ord("0"))
 
 
 def bits_to_int(bits: str) -> int:

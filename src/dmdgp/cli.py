@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bp, geometry, grover, metrics, oracle
-from .bitstrings import all_bits, int_to_bits
+from .bitstrings import _bit_digits, all_bits, int_to_bits
 from .instance import (
     DmdgpInstance,
     GroundTruth,
@@ -190,6 +190,99 @@ def _rows(labels: Sequence[str], tails: Sequence[str], inverse: np.ndarray) -> s
     return "".join(parts)[1:]
 
 
+#: The digits of 0..9999, four ASCII bytes each, zero-padded: every
+#: combination of four digits, in order.
+_DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4,
+                               indexing="ij"), axis=-1).reshape(-1, 4)
+#: "d.ddd", the `.3e` mantissa of each 4-digit integer 1000..9999.
+_MANTISSAS = np.insert(_DIGITS, 1, ord("."), axis=1)
+#: Whether each of 0..10000 has four digits; 10000 stands for every larger
+#: integer.
+_FOUR_DIGITS = np.zeros(10_001, dtype=bool)
+_FOUR_DIGITS[1000:10_000] = True
+#: Rows for the exponents e = -400..399: "e+XX", "e-XXX" and so on, the
+#: NUL after the sign standing for a hundreds digit that is not printed,
+#: and the scale 10^(3 - e) that makes a value's mantissa four digits.
+_EXPONENT_ROWS = np.arange(-400, 400)
+_EXPONENTS = np.frombuffer("".join(
+    "e" + "+-"[e < 0] + f"{abs(e):02d}".rjust(3, "\0") + "\0"
+    for e in _EXPONENT_ROWS.tolist()).encode("ascii"), dtype=np.uint8).reshape(-1, 6)
+with np.errstate(over="ignore"):
+    _SCALES = 10.0 ** (3 - _EXPONENT_ROWS)
+#: A scaled mantissa this close to a rounding tie is left to `format`.
+_TIE = 1e-6
+#: 10^p for p = 18 down to 1, then 0: the smallest index that prints a
+#: digit at 10^p.  An int64 index has at most 19 digits.
+_LEAD = np.append(10 ** np.arange(18, 0, -1), 0)
+
+
+def _sci3(values: np.ndarray, out: np.ndarray) -> None:
+    """Write format(x, ".3e") of each value into a row of `out` (K, 11):
+    ASCII bytes, then NUL padding.
+
+    A value x with e = floor(log10 x) is scaled to s = x * 10^(3 - e) and
+    printed as the mantissa m = rint(s) and the exponent e, each looked up
+    in a table.  s errs by ~1e-12, so `format` itself prints a value whose
+    s lies within 1e-6 of a rounding tie (1.0625: s = 1062.5; 999.5 and
+    9999.5 border the next exponent) or whose m is not four digits: s
+    rounding up to 10000 (9.9996e-28), log10 rounding down just above a
+    power of ten, and zero, a subnormal or a value below ~1e-305 (the scale
+    overflows), a negative, an inf or a NaN.  log10 rounding up just below
+    a power of ten leaves s within ~1e-9 under 1000, printed as 1.000 either
+    way.  So every byte is the one Python prints."""
+    x = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        # a value with no finite log10 takes a clipped row and fails `exact`
+        e_row = np.floor(np.log10(x)).astype(np.intp) - _EXPONENT_ROWS[0]
+        s = x * _SCALES.take(e_row, mode="clip")
+        m = np.rint(s)
+        m_row = m.astype(np.intp)
+        exact = _FOUR_DIGITS.take(m_row, mode="clip") & (np.abs(s - m) < 0.5 - _TIE)
+    out[:, :5] = _MANTISSAS.take(m_row, axis=0, mode="clip")
+    out[:, 5:] = _EXPONENTS.take(e_row, axis=0, mode="clip")
+    if np.count_nonzero(exact) < x.size:
+        rows = np.flatnonzero(~exact)
+        text = "".join(format(v, ".3e").ljust(11, "\0") for v in x[rows].tolist())
+        out[rows] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 11)
+
+
+def solution_table(width: int, index: Sequence[int], penalties: np.ndarray) -> str:
+    """`  bits={}  index={}  penalty={:.3e}` for each row, bits `width`
+    wide, each line ending in a newline; `index` is ascending and not empty.
+
+    The table is one (K, W) byte array: K copies of the fixed text, the
+    bit and index digits written from the indices as int64 (as Python
+    strings past 63 bits), and `_sci3`'s penalty fields.  A row with a
+    shorter index or penalty than the widest leaves NUL bytes in their
+    columns, and one mask drops them."""
+    rows, digits = len(index), len(str(index[-1]))
+    tail = f"  penalty={'0' * 11}\n"
+    wide = width > 63
+    if wide:
+        text = "".join(f"  bits={j:0{width}b}  index={str(j).rjust(digits, chr(0))}{tail}"
+                       for j in index)
+    else:
+        text = f"  bits={'0' * width}  index={'0' * digits}{tail}" * rows
+    table = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8).reshape(rows, -1)
+    if not wide:
+        k = np.asarray(index, dtype=np.int64)
+        bits_at = len("  bits=")
+        _bit_digits(k, width, table[:, bits_at:bits_at + width])
+        number = table[:, bits_at + width + len("  index="):-len(tail)]
+        # four digits at a time, the lowest first; the highest group is 1..4
+        top = (digits - 1) % 4 + 1
+        rest = k
+        for end in range(digits, top, -4):
+            rest, low = np.divmod(rest, 10_000)
+            number[:, end - 4:end] = _DIGITS.take(low, axis=0)
+        number[:, :top] = _DIGITS.take(rest, axis=0)[:, 4 - top:]
+        if index[0] < 10 ** (digits - 1):
+            # a digit at 10^p, p > 0, is dropped from an index below 10^p
+            number *= k[:, None] >= _LEAD[-digits:]
+    _sci3(penalties, table[:, -12:-1])
+    return table[table != 0].tobytes().decode("ascii")
+
+
 def histogram_text(labels: Sequence[str], values: np.ndarray, width: int = 40) -> str:
     """One `  label  value  bars` row per entry.  The text after the label
     depends only on the value, so it is formatted once per distinct value."""
@@ -292,11 +385,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("no solution")
         return EXIT_NO_SOLUTION
     print(f"solutions found: {len(solutions)}")
-    # each distinct penalty is formatted once
-    penalties, inverse = _distinct(solutions.penalties)
-    tails = list(map("  penalty={:.3e}".format, penalties.tolist()))
-    bits = all_bits(inst.n - 3, solutions.index)
-    print(_rows(list(map("bits={}  index={}".format, bits, solutions.index)), tails, inverse))
+    print(solution_table(inst.n - 3, solutions.index, solutions.penalties), end="")
     return EXIT_OK
 
 

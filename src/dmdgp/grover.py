@@ -79,7 +79,10 @@ class Distribution:
         total = float(probs.sum())
         if abs(total - 1.0) > SUM_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probabilities", _frozen(np.maximum(probs, 0.0)))
+        # np.maximum returns a fresh array: owned here, so made read-only, not copied
+        clipped = np.maximum(probs, 0.0)
+        clipped.flags.writeable = False
+        object.__setattr__(self, "probabilities", clipped)
 
     @property
     def n_outcomes(self) -> int:

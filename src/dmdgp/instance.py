@@ -27,10 +27,11 @@ from .geometry import Conformation, InternalCoords, quad_end_distance, realize
 #: normalization assumes.
 MAX_DISTANCE = 6.0
 
-#: Largest vertex count a document may declare.  `validate` holds a (4, n)
-#: table and a few n-length temporaries, ~56 B per vertex at its peak (59 MB
-#: at this limit), so a document declaring n in the billions fails in one
-#: line instead of running out of memory.
+#: Largest vertex count of an instance, checked by `parse_document` and by
+#: the constructor before any n-length array is made.  `validate` holds a
+#: (4, n) table and a few n-length temporaries, ~56 B per vertex at its peak
+#: (59 MB at this limit), so n in the billions fails in one line instead of
+#: running out of memory.
 MAX_VERTICES = 1 << 20
 
 #: Generator draw ranges (angstroms / radians).
@@ -173,6 +174,8 @@ class DmdgpInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 4:
             raise ValueError(f"vertex count must be an integer >= 4, got {self.n}")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count {self.n} exceeds the limit of {MAX_VERTICES}")
         keys, weights = list(self.edges), list(self.edges.values())
         us, vs = tuple(zip(*keys)) or ((), ())
         first = _FirstFailure(len(keys))

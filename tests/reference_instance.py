@@ -10,13 +10,15 @@ import math
 import numpy as np
 
 from dmdgp.geometry import COS_TOLERANCE, InconsistentDistances, InternalCoords
-from dmdgp.instance import MAX_DISTANCE, ParseError, ValidationReport, Violation
+from dmdgp.instance import MAX_DISTANCE, MAX_VERTICES, ParseError, ValidationReport, Violation
 
 
 def construct(n, edges):
     """`DmdgpInstance(n, edges)`: the checked dict, reversed keys swapped."""
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"vertex count must be an integer >= 4, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     clean = {}
     for key, w in dict(edges).items():
         u, v = key

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -31,12 +32,14 @@ from dmdgp.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
+    _sci3,
     histogram_text,
     load_distribution_csv,
     main,
     render_run_report,
     run_search,
     save_distribution_csv,
+    solution_table,
 )
 from dmdgp.bitstrings import all_bits, int_to_bits
 from dmdgp.grover import Distribution, iteration_count
@@ -147,6 +150,20 @@ class TestSolve:
                      "--out", path]) == EXIT_OK
         capsys.readouterr()
         assert main(["solve", path, "--mode", mode]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, digest", [
+        (66, "130cc8a889713764caef13a54cf3e458854e7f42d7a7579cca81d94ef29e8642"),
+        (67, "def0f37cf21a9ea478c07dfea2b5f0a45307c4c09ba1c1cf84edd67dd0673ec5"),
+    ])
+    def test_int64_boundary_solve_output_is_pinned(self, tmp_path, capsys, n, digest):
+        # 63 sign bits, the widest int64 index, and 64, the narrowest Python-int
+        # one; at 64 one solution index lies below 2^63 and its mirror above
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", str(n), "--seed", "1", "--long-edge-prob", "0.5",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -349,6 +366,66 @@ def test_labels_of_an_index_sequence_equal_per_index_formatting(case):
     # `solve` labels its rows from BP's index tuple: int64 up to 63 bits
     width, index = case
     assert all_bits(width, tuple(index)) == [int_to_bits(k, width) for k in index]
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+float_bit_patterns = st.integers(0, (1 << 64) - 1).map(_float_of_bits)
+
+
+def sci3_text(values):
+    out = np.zeros((len(values), 11), dtype=np.uint8)
+    _sci3(np.array(values, dtype=float), out)
+    return [row[row != 0].tobytes().decode("ascii") for row in out]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_bit_patterns | st.floats(), min_size=1, max_size=40))
+@example([0.0])
+@example([-0.0])
+@example([5e-324])
+@example([1.0625])  # an exact tie: 1062.5 rounds to even
+@example([1.0005e-25])  # just above a tie in binary, though s computes as 1000.5
+@example([9.9996e-28])  # rounds up to 1.000e-27
+@example([1e-100])  # a three-digit exponent
+@example([1e22])
+@example([1e23])
+@example([math.inf])
+@example([math.nan])
+@example([1e-30, 0.0, 3.175e-23, -math.inf, 9.9995e-6, 1e-306, 1.7976931348623157e308])
+def test_sci3_equals_format(values):
+    assert sci3_text(values) == [format(v, ".3e") for v in values]
+
+
+@st.composite
+def solution_rows(draw):
+    """(width, ascending index tuple, penalties) of a `solve` table."""
+    width = draw(st.integers(1, 70))
+    index = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=30))
+    penalties = draw(st.lists(float_bit_patterns | st.floats(0.0, 1e-8),
+                              min_size=len(index), max_size=len(index)))
+    return width, tuple(sorted(index)), penalties
+
+
+@settings(max_examples=300, deadline=None)
+@given(solution_rows())
+@example((1, (0, 1), [0.0, 1e-30]))
+@example((63, (0, 9, 10, (1 << 63) - 1), [1e-22, 2e-23, -0.0, math.nan]))
+@example((64, (5, (1 << 63) - 1, 1 << 63, (1 << 64) - 1), [1.0625, 9.9996e-28, 1e-100, 5e-324]))
+@example((70, (1 << 69,), [math.inf]))
+def test_solution_table_equals_per_row_formatting(case):
+    width, index, penalties = case
+    expected = "".join("  bits={}  index={}  penalty={:.3e}\n".format(int_to_bits(k, width), k, p)
+                       for k, p in zip(index, penalties))
+    assert solution_table(width, index, np.array(penalties, dtype=float)) == expected
+
+
+def test_labels_of_indices_on_both_sides_of_2_63():
+    # numpy holds (5, 2^63 + 1) as float64, which has no binary format
+    index = (5, (1 << 63) + 1)
+    assert all_bits(64, index) == [int_to_bits(k, 64) for k in index]
 
 
 # Few distinct values, as the two N-row tables hold, with -0.0 next to 0.0:

@@ -59,6 +59,14 @@ class TestIterationCount:
 
 
 class TestDistribution:
+    def test_probabilities_do_not_follow_the_input(self):
+        probs = np.array([0.25, 0.5, -1e-13, 0.25 + 1e-13])
+        dist = Distribution(probs)
+        probs[:] = 0.0
+        assert dist.probabilities.tolist() == [0.25, 0.5, 0.0, 0.25 + 1e-13]
+        assert not dist.probabilities.flags.writeable
+        assert not np.shares_memory(dist.probabilities, probs)
+
     def test_single_marked_one_iteration(self):
         dist = grover_distribution(8, {2}, 1)
         assert dist.probabilities[2] == pytest.approx(25 / 32, abs=1e-12)

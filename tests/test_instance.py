@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,23 @@ class TestConstruction:
     def test_n_below_four_rejected(self):
         with pytest.raises(ValueError, match=">= 4"):
             DmdgpInstance(3, {})
+
+    def test_vertex_count_over_the_limit_fails_before_any_array(self):
+        # validate's (4, n) table would be 29 TiB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                DmdgpInstance(10**12, {(1, 2): 1.5})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"vertex count {10**12} exceeds the limit of {MAX_VERTICES}"
+        assert peak < 1 << 20
+
+    def test_vertex_limit_is_inclusive(self):
+        assert DmdgpInstance(MAX_VERTICES, {(1, 2): 1.5}).n == MAX_VERTICES
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            DmdgpInstance(MAX_VERTICES + 1, {(1, 2): 1.5})
 
     def test_edges_are_read_only(self):
         inst = DmdgpInstance(4, small_edges())
