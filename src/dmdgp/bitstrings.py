@@ -7,8 +7,6 @@ belongs to the lowest branching vertex (vertex 4).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -18,17 +16,12 @@ def int_to_bits(k: int, width: int) -> str:
     return format(k, f"0{width}b")
 
 
-def all_bits(width: int, index: Sequence[int] | np.ndarray | None = None) -> list[str]:
-    """int_to_bits(k, width) for every k in `index`, by default 0..2^width - 1,
-    in order.  Up to 63 bits they are one byte array of digit rows, unpacked
-    from the indices' bytes and decoded and split once, rather than one
-    format call per index; wider indices are Python ints, formatted one by
-    one (numpy would make floats of a sequence on both sides of 2^63)."""
-    if width > 63:
-        return [format(j, f"0{width}b") for j in index]
-    k = np.arange(1 << width) if index is None else np.asarray(index)
-    rows = np.full((k.size, width + 1), ord("\n"), dtype=np.uint8)
-    _bit_digits(k, width, rows[:, :width])
+def all_bits(width: int) -> list[str]:
+    """int_to_bits(k, width) for every k in 0..2^width - 1, in order: one
+    byte array of digit rows, decoded and split once, rather than one
+    format call per index."""
+    rows = np.full((1 << width, width + 1), ord("\n"), dtype=np.uint8)
+    _bit_digits(np.arange(1 << width), width, rows[:, :width])
     return rows.tobytes().decode("ascii").split()
 
 

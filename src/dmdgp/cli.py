@@ -196,10 +196,6 @@ _DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] *
                                indexing="ij"), axis=-1).reshape(-1, 4)
 #: "d.ddd", the `.3e` mantissa of each 4-digit integer 1000..9999.
 _MANTISSAS = np.insert(_DIGITS, 1, ord("."), axis=1)
-#: Whether each of 0..10000 has four digits; 10000 stands for every larger
-#: integer.
-_FOUR_DIGITS = np.zeros(10_001, dtype=bool)
-_FOUR_DIGITS[1000:10_000] = True
 #: Rows for the exponents e = -400..399: "e+XX", "e-XXX" and so on, the
 #: NUL after the sign standing for a hundreds digit that is not printed,
 #: and the scale 10^(3 - e) that makes a value's mantissa four digits.
@@ -236,8 +232,8 @@ def _sci3(values: np.ndarray, out: np.ndarray) -> None:
         e_row = np.floor(np.log10(x)).astype(np.intp) - _EXPONENT_ROWS[0]
         s = x * _SCALES.take(e_row, mode="clip")
         m = np.rint(s)
+        exact = (m >= 1000) & (m <= 9999) & (np.abs(s - m) < 0.5 - _TIE)
         m_row = m.astype(np.intp)
-        exact = _FOUR_DIGITS.take(m_row, mode="clip") & (np.abs(s - m) < 0.5 - _TIE)
     out[:, :5] = _MANTISSAS.take(m_row, axis=0, mode="clip")
     out[:, 5:] = _EXPONENTS.take(e_row, axis=0, mode="clip")
     if np.count_nonzero(exact) < x.size:

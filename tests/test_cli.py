@@ -41,7 +41,7 @@ from dmdgp.cli import (
     save_distribution_csv,
     solution_table,
 )
-from dmdgp.bitstrings import all_bits, int_to_bits
+from dmdgp.bitstrings import _bit_digits, all_bits, int_to_bits
 from dmdgp.grover import Distribution, iteration_count
 from dmdgp.instance import ParseError
 
@@ -358,14 +358,16 @@ def test_outcome_labels_equal_per_index_formatting(width):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 70).flatmap(lambda width: st.tuples(
+@given(st.integers(1, 63).flatmap(lambda width: st.tuples(
     st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=20))))
 @example((63, [0, 1, (1 << 63) - 1]))
-@example((64, [(1 << 64) - 1]))
+@example((8, [255, 0, 128]))
 def test_labels_of_an_index_sequence_equal_per_index_formatting(case):
-    # `solve` labels its rows from BP's index tuple: int64 up to 63 bits
+    # `solve` writes its bits column from BP's index tuple as int64
     width, index = case
-    assert all_bits(width, tuple(index)) == [int_to_bits(k, width) for k in index]
+    out = np.zeros((len(index), width), dtype=np.uint8)
+    _bit_digits(np.array(index, dtype=np.int64), width, out)
+    assert [row.tobytes().decode("ascii") for row in out] == [int_to_bits(k, width) for k in index]
 
 
 def _float_of_bits(bits):
@@ -420,12 +422,6 @@ def test_solution_table_equals_per_row_formatting(case):
     expected = "".join("  bits={}  index={}  penalty={:.3e}\n".format(int_to_bits(k, width), k, p)
                        for k, p in zip(index, penalties))
     assert solution_table(width, index, np.array(penalties, dtype=float)) == expected
-
-
-def test_labels_of_indices_on_both_sides_of_2_63():
-    # numpy holds (5, 2^63 + 1) as float64, which has no binary format
-    index = (5, (1 << 63) + 1)
-    assert all_bits(64, index) == [int_to_bits(k, 64) for k in index]
 
 
 # Few distinct values, as the two N-row tables hold, with -0.0 next to 0.0:
