@@ -131,13 +131,14 @@ def branch_and_prune(
     Vertex 4 is in S for every instance: reflecting a chain through the
     plane z = 0 of the fixed root x1..x3 negates z at vertices 4..n, flips
     every sign bit (leaf k <-> 2^(n-3) - 1 - k) and keeps every distance.
-    So the walk covers only vertex 4's 0 subtree, which holds the first
-    leaf, and mode "all" appends the mirror rows in reverse order.
+    So the walk runs under the prefix "0", vertex 4's 0 subtree, which holds
+    the first leaf, and mode "all" appends the mirror rows in reverse order.
     Negation is exact and the walk's arithmetic commutes with it, so they
     are the rows a walk of the 1 subtree computes, bit for bit, except
     that a coordinate computed as exactly zero may come out as 0.0 in both
     subtrees.  A row with such a coordinate (a planar torsion puts the
-    chain in the plane z = 0) sends mode "all" through the whole tree.
+    chain in the plane z = 0) sends mode "all" through the whole tree, the
+    walk under the empty prefix.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
@@ -149,9 +150,9 @@ def branch_and_prune(
         limit, cap = None, 1 << BLOCK_LEVELS
     edges = edge_arrays(inst)
 
-    def leaves(half):
+    def leaves(prefix):  # the walk's blocks under `prefix`, cut to `limit` rows
         ks, blocks, gs = [], [], []
-        for k, block, g in _sign_blocks(internal, edges, delta, cap, _half=half):
+        for k, block, g in _sign_blocks(internal, edges, delta, cap, prefix):
             ks.append(k[:limit])
             blocks.append(block[:limit])
             gs.append(g[:limit])
@@ -159,10 +160,10 @@ def branch_and_prune(
                 break
         return ks, blocks, gs
 
-    ks, blocks, gs = leaves(True)
+    ks, blocks, gs = leaves("0")
     mirror = limit is None and all(block[:, 3:].all() for block in blocks)
     if limit is None and not mirror:
-        ks, blocks, gs = leaves(False)
+        ks, blocks, gs = leaves("")
     if not ks:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
     if mirror:  # the 1 subtree: the 0 subtree's blocks reversed, z negated below

@@ -208,24 +208,20 @@ def realize(internal: InternalCoords, bits: str) -> Conformation:
 
     Positions come from the running product Q_i = Q_{i-1} B_i applied
     to the homogeneous origin; bit j controls vertex 4+j (0 -> positive
-    sine, 1 -> negative).
+    sine, 1 -> negative).  The product is the sign-tree walk's: its one
+    row under the prefix `bits`, over no edges.
     """
-    n = internal.n
-    check_bits(bits, n - 3)
-    points = np.zeros((n, 3))
-    q = np.eye(4)
-    for i in range(2, n + 1):
-        sign = 1 if i <= 3 or bits[i - 4] == "0" else -1
-        q = q @ b_matrix(i, internal, sign)
-        points[i - 1] = q[:3, 3]
-    return Conformation(points)
+    check_bits(bits, internal.n - 3)
+    no_edges = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+    (_, points, _), = _sign_blocks(internal, no_edges, prefix=bits)
+    return Conformation(points[0])
 
 
 def _sign_blocks(internal: InternalCoords,
                  edges: tuple[np.ndarray, np.ndarray, np.ndarray],
                  delta: float = math.inf,
                  cap: int = 1 << BLOCK_LEVELS,
-                 _half: bool = False
+                 prefix: str = ""
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one walk of the sign tree: (index (K,), points (K, n, 3), g (K,))
     per block of leaves with penalty g < delta over `edges` (from
@@ -246,9 +242,10 @@ def _sign_blocks(internal: InternalCoords,
     its sign bits, so an index is exact at any depth: int64 while
     n - 3 <= 63, Python ints (dtype object) past that.
 
-    `_half` walks only the subtree of vertex 4's 0 child, the leaves
-    0..2^(n-4) - 1; the rest of the tree is its mirror image (see
-    `bp.branch_and_prune`).
+    `prefix`, a sign word of at most n - 3 bits, limits the walk to the
+    subtree under it: down to its last vertex a row takes the one child it
+    names, Q <- Q B_v^bit.  "0" is vertex 4's 0 subtree, whose mirror is the
+    rest of the tree (see `bp.branch_and_prune`); a full word is `realize`.
     """
     n = internal.n
     # the edges vertex i closes (vertex 3 closes those of the fixed root
@@ -270,7 +267,7 @@ def _sign_blocks(internal: InternalCoords,
     q = q2 @ b_matrix(3, internal)
     block = np.zeros((1, n, 3))
     block[0, 1:3] = q2[:3, 3], q[:3, 3]
-    bits = np.zeros((1, n - 3), dtype=np.uint8)
+    bits = np.array([list(map(int, prefix.ljust(n - 3, "0")))], dtype=np.uint8)
     # (vertex placed last, then Q, points, g and sign bits of the rows)
     stack = [(3, q[None], block, penalties(block, closes[3]), bits)]
     while stack:
@@ -284,14 +281,14 @@ def _sign_blocks(internal: InternalCoords,
                 yield bits @ weights, block, gs
                 break
             v += 1
-            qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
-            block = block.repeat(2, axis=0)
+            if v - 4 < len(prefix):  # the one child the prefix names
+                qs = qs @ branches[v - 4, int(prefix[v - 4])]
+            else:
+                qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
+                block, gs, bits = block.repeat(2, axis=0), gs.repeat(2), bits.repeat(2, axis=0)
+                bits[1::2, v - 4] = 1
             block[:, v - 1] = qs[:, :3, 3]
-            gs = gs.repeat(2) + penalties(block, closes[v])
-            if v == 4 and _half:
-                gs[1] = math.inf  # the root's 1 child: its subtree is not walked
-            bits = bits.repeat(2, axis=0)
-            bits[1::2, v - 4] = 1
+            gs = gs + penalties(block, closes[v])
             kept = (gs < delta).nonzero()[0]
             if kept.size < gs.size:
                 if not kept.size:
@@ -385,13 +382,13 @@ def _torsion_cosine(d12, d13, d14, d23, d24, d34):
 def quad_end_distance(bonds: tuple[float, float, float],
                       angles: tuple[float, float],
                       torsion_cos: float) -> float:
-    """Distance between the first and fourth atom of a short chain.
-
-    Depends on the torsion angle only through its cosine, so the
-    branch sign is irrelevant.
-    """
-    ic = InternalCoords(
-        np.array(bonds), np.array(angles), np.array([torsion_cos])
-    )
-    conf = realize(ic, "0")
-    return conf.distance(1, 4)
+    """Distance between the first and fourth atom of a short chain with
+    bonds a, b, c, planar angles t1, t2 and torsion cosine cos w, either
+    sine branch: d14^2 = a^2 + b^2 + c^2 - 2ab cos t1 - 2bc cos t2
+    + 2ac (cos t1 cos t2 - sin t1 sin t2 cos w)."""
+    a, b, c = bonds
+    ct1, ct2 = math.cos(angles[0]), math.cos(angles[1])
+    st1, st2 = math.sin(angles[0]), math.sin(angles[1])
+    d2 = (a * a + b * b + c * c - 2.0 * a * b * ct1 - 2.0 * b * c * ct2
+          + 2.0 * a * c * (ct1 * ct2 - st1 * st2 * torsion_cos))
+    return math.sqrt(max(0.0, d2))

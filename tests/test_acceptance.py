@@ -28,7 +28,6 @@ from dmdgp import (
     oracle_value,
     penalty,
     random_internal_coords,
-    realize,
     sample,
     selectivity,
     symmetry_set,
@@ -37,6 +36,7 @@ from dmdgp import (
 )
 from dmdgp.cli import load_distribution_csv
 from dmdgp.grover import evolve, uniform_state
+from reference_geometry import realize
 
 LONG_EDGE_PROBS = (0.0, 0.3, 0.7, 1.0)
 

@@ -14,13 +14,13 @@ from dmdgp import (
     extract_internal,
     generate,
     penalty,
-    realize,
     symmetry_set,
 )
 from dmdgp.bitstrings import bits_to_int, int_to_bits
 from dmdgp.bp import SymmetrySet
 from dmdgp.instance import clique_pairs, generate_from_topology
 from dmdgp.oracle import scan
+from reference_geometry import realize
 
 
 class TestSymmetrySet:

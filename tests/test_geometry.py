@@ -11,7 +11,6 @@ from dmdgp import (
     extract_internal,
     generate,
     penalty,
-    realize,
 )
 from dmdgp.bitstrings import int_to_bits
 from dmdgp.geometry import (
@@ -23,6 +22,7 @@ from dmdgp.geometry import (
     quad_end_distance,
 )
 from dmdgp.instance import DmdgpInstance, random_internal_coords
+from reference_geometry import realize
 
 
 def dihedral(p1, p2, p3, p4):

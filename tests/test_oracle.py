@@ -16,10 +16,10 @@ from dmdgp import (
     oracle_params,
     oracle_value,
     penalty,
-    realize,
     symmetry_set,
 )
 from dmdgp.oracle import ScanCapExceeded
+from reference_geometry import realize
 
 
 class TestParams:

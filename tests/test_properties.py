@@ -1,14 +1,17 @@
 """Property tests over generated instances: the generator's distances
 are the per-pair `Conformation.distance`, the sign-tree walk and the
 block scan agree with the per-candidate references `oracle_eval`,
-`realize` and `penalty`, branch-and-prune keeps exactly the candidates
+the reference `realize` and `penalty`, branch-and-prune keeps exactly the candidates
 with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
-the walk yields the same rows whatever its block cap,
+the walk yields the same rows whatever its block cap, and under a
+prefix the rows of the whole walk that begin with it,
 branch-and-prune's half walk and mirror rows are the whole-tree walk's,
 the branch matrices the walk builds as one array are `b_matrix`'s
-doubles, the in-place
+doubles, `realize` (one row of the walk) is the per-vertex reference loop
+bit for bit, the closed-form `quad_end_distance` is the reference chain's
+end-to-end distance, the in-place
 Grover run agrees with the single-step reference `evolve` and the
 closed form, and the two-amplitude `grover_distribution` agrees with
 that N-vector run."""
@@ -37,16 +40,30 @@ from dmdgp import (
     oracle_eval,
     oracle_params,
     penalty,
-    realize,
     success_probability,
     symmetry_set,
 )
 from dmdgp.bp import NoSolutionError, SymmetrySet
 from dmdgp.cli import CliError, run_search
-from dmdgp.geometry import BLOCK_LEVELS, _branch_matrices, _sign_blocks, edge_arrays
+from dmdgp import geometry
+from dmdgp.geometry import (
+    BLOCK_LEVELS,
+    _branch_matrices,
+    _sign_blocks,
+    edge_arrays,
+    quad_end_distance,
+)
 from dmdgp.grover import evolve, iteration_count, uniform_state
-from dmdgp.instance import MAX_DISTANCE, MIN_PAIR_DISTANCE, clique_pairs
+from dmdgp.instance import (
+    ANGLE_RANGE,
+    BOND_RANGE,
+    MAX_DISTANCE,
+    MIN_PAIR_DISTANCE,
+    clique_pairs,
+    random_internal_coords,
+)
 from dmdgp.oracle import scan
+from reference_geometry import realize
 
 instances = st.builds(
     generate,
@@ -110,11 +127,12 @@ def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generate
         assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
 
 
-def walk_rows(inst, delta, cap):
-    """Every row the sign-tree walk yields: (index, points bytes, g bytes)."""
+def walk_rows(inst, delta, cap, prefix=""):
+    """Every row the sign-tree walk under `prefix` yields: (index, points
+    bytes, g bytes)."""
     return [(k, pts.tobytes(), g.tobytes())
             for index, block, gs in _sign_blocks(extract_internal(inst), edge_arrays(inst),
-                                                 delta, cap)
+                                                 delta, cap, prefix)
             for k, pts, g in zip(index.tolist(), block, gs)]
 
 
@@ -127,6 +145,24 @@ def walk_rows(inst, delta, cap):
 def test_walk_rows_do_not_depend_on_the_block_cap(generated, delta):
     inst, _ = generated
     assert walk_rows(inst, delta, 1) == walk_rows(inst, delta, 1 << BLOCK_LEVELS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(generate, n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
+                 long_edge_prob=st.floats(0.0, 1.0)).flatmap(
+           lambda generated: st.tuples(st.just(generated[0]),
+                                       st.text("01", max_size=generated[0].n - 3))),
+       st.sampled_from([math.inf, 1e-4, 1e-10]),
+       st.sampled_from([1, 1 << BLOCK_LEVELS]))
+@example((generate(BLOCK_LEVELS + 5, 4, 0.5)[0], "0"), 1e-10, 1 << BLOCK_LEVELS)
+@example((generate(BLOCK_LEVELS + 5, 4, 0.5)[0], "0110"), math.inf, 1 << BLOCK_LEVELS)
+@example((generate(9, 7, 0.0)[0], "101101"), math.inf, 1)  # one leaf: `realize`'s walk
+def test_prefix_walk_yields_the_rows_under_its_prefix(case, delta, cap):
+    inst, prefix = case
+    width = inst.n - 3
+    expected = [row for row in walk_rows(inst, delta, cap)
+                if int_to_bits(row[0], width).startswith(prefix)]
+    assert walk_rows(inst, delta, cap, prefix) == expected
 
 
 def planar_chain(bonds, angles, cosines, bits, long_pairs):
@@ -277,6 +313,42 @@ def test_branch_matrices_equal_b_matrix_bit_for_bit(internal):
     branches = _branch_matrices(internal)
     assert branches.shape == reference.shape
     assert np.array_equal(branches.view(np.uint64), reference.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(internal_coords().flatmap(lambda internal: st.tuples(
+    st.just(internal), st.text("01", min_size=internal.n - 3, max_size=internal.n - 3))))
+# 63 and 64 sign bits: the widest int64 index and the narrowest Python-int one
+@example((random_internal_coords(66, 1)[0], "01" * 31 + "1"))
+@example((random_internal_coords(67, 1)[0], "10" * 32))
+def test_realize_is_the_reference_loop_bit_for_bit(case):
+    internal, bits = case
+    points = geometry.realize(internal, bits).points
+    assert np.array_equal(points.view(np.uint64), realize(internal, bits).points.view(np.uint64))
+    with pytest.raises(ValueError):
+        geometry.realize(internal, bits + "0")
+
+
+near_flat = st.floats(1e-9, 1e-3) | st.floats(math.pi - 1e-3, math.pi - 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.floats(*BOND_RANGE)] * 3),
+       st.tuples(*[st.floats(*ANGLE_RANGE) | near_flat] * 2),
+       st.floats(0.0, 2.0 * math.pi) | near_flat | near_flat.map(lambda w: 2.0 * math.pi - w))
+# a cis chain with equal bonds and planar angles pi/3 closes on itself:
+# d14 = 8.7e-4 at the smallest torsion the generator keeps (sine 1e-3)
+@example((1.0, 1.0, 1.0), (math.pi / 3, math.pi / 3), 1e-3)
+@example((1.0, 1.0, 1.0), (math.pi / 3, math.pi / 3), 0.0)
+def test_quad_end_distance_is_the_reference_chains(bonds, angles, omega):
+    # d14^2 sums terms of up to (a + b + c)^2, so both computations round it
+    # relative to that scale, not to d14^2, which cancels to 0 as d14 -> 0:
+    # at the first example d14 itself differs by 1.1e-11 relative
+    cw = math.cos(omega)
+    closed = quad_end_distance(bonds, angles, cw)
+    for bits in ("0", "1"):
+        d = realize(InternalCoords(*map(np.array, (bonds, angles, [cw]))), bits).distance(1, 4)
+        assert abs(closed * closed - d * d) <= 1e-12 * sum(bonds) ** 2
 
 
 @st.composite
