@@ -22,14 +22,10 @@ from .instance import DmdgpInstance
 from .oracle import DEFAULT_DELTA
 
 
-#: Points (rows times n) a block of the walk holds in mode "first".  A wide
-#: block reaches the first leaf of a bushy tree in fewer doubling steps
-#: than single rows do, but on a long chain each extra row is n more
-#: points copied per level and is never read: a partial chain that a later
-#: edge prunes, or a solution past the first.  256 allows 18 rows at
-#: n = 14, 12 at n = 20 and one past n = 128; no single row count was as
-#: fast on both kinds of tree.
-FIRST_BLOCK_POINTS = 256
+#: Rows a block of the walk holds in mode "first".  Against the former 256 // n
+#: rows it is as fast on cliques and deep p = 0.5 chains, and 3-6x faster on
+#: sparse n = 60..200 trees, whose dead subtrees 1-4 rows crawled through.
+FIRST_BLOCK_ROWS = 16
 
 
 class NoSolutionError(RuntimeError):
@@ -144,10 +140,7 @@ def branch_and_prune(
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if mode == "first":
-        limit, cap = 1, max(1, FIRST_BLOCK_POINTS // inst.n)
-    else:
-        limit, cap = None, 1 << BLOCK_LEVELS
+    limit, cap = (1, FIRST_BLOCK_ROWS) if mode == "first" else (None, 1 << BLOCK_LEVELS)
     edges = edge_arrays(inst)
 
     def leaves(prefix):  # the walk's blocks under `prefix`, cut to `limit` rows

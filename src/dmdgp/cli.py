@@ -7,10 +7,11 @@ Subcommands:
     metrics      compare two distribution CSV files
     oracle-scan  tabulate penalty, normalized value, and oracle bit per candidate
 
-Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error,
-65 data format error or an instance outside supported limits (search
-space over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, every
-candidate marked, distances no chain realizes).
+Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error (also
+gen over MAX_VERTICES, grover's --seed below 0 or --shots from 2^63), 65
+data format error (also text not UTF-8 or nested too deeply) or an instance
+outside supported limits (search space over the scan cap or, for grover,
+over GROVER_MAX_OUTCOMES, every candidate marked, distances no chain realizes).
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_DATA, f"{path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -180,13 +183,15 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(values.dtype), inverse
 
 
-def _rows(labels: Sequence[str], tails: Sequence[str], inverse: np.ndarray) -> str:
-    """Rows `  {label}{tail}`, tail k being tails[inverse[k]], joined by
-    newlines: one join over an interleaved list, not one format per row."""
-    rows = min(len(labels), len(inverse))
-    parts = ["\n  "] * (3 * rows)
-    parts[1::3] = labels[:rows]
-    parts[2::3] = np.array(tails, dtype=object)[inverse[:rows]].tolist()
+def _rows(labels: Sequence[str], *columns: tuple[Sequence[str], np.ndarray]) -> str:
+    """Rows `  {label}` then texts[inverse[k]] of each (texts, inverse) column,
+    joined by newlines: one join over an interleaved list, no per-row format."""
+    rows = min(len(labels), *(len(inverse) for _, inverse in columns))
+    step = 2 + len(columns)
+    parts = ["\n  "] * (step * rows)
+    parts[1::step] = labels[:rows]
+    for at, (texts, inverse) in enumerate(columns, start=2):
+        parts[at::step] = np.array(texts, dtype=object)[inverse[:rows]].tolist()
     return "".join(parts)[1:]
 
 
@@ -279,19 +284,19 @@ def solution_table(width: int, index: Sequence[int], penalties: np.ndarray) -> s
     return table[table != 0].tobytes().decode("ascii")
 
 
-def histogram_text(labels: Sequence[str], values: np.ndarray, width: int = 40) -> str:
-    """One `  label  value  bars` row per entry.  The text after the label
-    depends only on the value, so it is formatted once per distinct value."""
+def histogram_text(labels: Sequence[str], values: np.ndarray) -> str:
+    """One `  label  value  bars` row per entry, 40 bars at the peak; the text
+    after the label depends only on the value and is built once per distinct value."""
     peak = float(values.max()) if len(values) else 1.0
-    scale = width / peak if peak > 0 else 0.0
+    scale = 40 / peak if peak > 0 else 0.0
     distinct, inverse = _distinct(values)
-    # width / peak overflows for a peak below ~width / DBL_MAX, where a
-    # nonnegative value's share of the peak stays finite
-    lengths = distinct * scale if scale < math.inf else np.maximum(distinct, 0) / peak * width
+    # 40 / peak overflows for a peak below ~40 / DBL_MAX, where a nonnegative
+    # value's share of the peak stays finite
+    lengths = distinct * scale if scale < math.inf else np.maximum(distinct, 0) / peak * 40
     # np.rint rounds half to even, as Python's round does
     bars = np.maximum(np.rint(lengths), 0).astype(int).tolist()
     tails = list(map("  {:9.6f}  {}".format, distinct.tolist(), map("#".__mul__, bars)))
-    return _rows(labels, tails, inverse)
+    return _rows(labels, (tails, inverse))
 
 
 def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]],
@@ -484,21 +489,11 @@ def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarra
         f"frequency={float(sum(freqs[m] for m in report.marked)):.6f}"
     )
     lines.append("outcome     sampled      ideal")
-    # past its label a row depends only on (sampled, ideal, marked), and the
-    # columns hold few distinct values: each value and each distinct row
-    # tail is formatted once
-    sampled, s_of = _distinct(freqs)
-    ideal, i_of = _distinct(report.ideal.probabilities)
-    star = np.zeros(report.N, dtype=np.intp)
-    star[list(report.marked)] = 1
-    shape = (sampled.size, ideal.size, 2)
-    keys, row_of = np.unique(np.ravel_multi_index((s_of, i_of, star), shape),
-                             return_inverse=True)
-    s_text = list(map("  {:9.6f}".format, sampled.tolist()))
-    i_text = list(map("  {:9.6f}".format, ideal.tolist()))
-    tails = [s_text[s] + i_text[i] + " *" * m
-             for s, i, m in zip(*(a.tolist() for a in np.unravel_index(keys, shape)))]
-    lines.append(_rows(labels, tails, row_of))
+    # the sampled and ideal columns hold few distinct values, each formatted once
+    columns = [(list(map("  {:9.6f}".format, keys.tolist())), inverse)
+               for keys, inverse in map(_distinct, (freqs, report.ideal.probabilities))]
+    star = np.bincount(report.marked, minlength=report.N)  # 1 at each marked outcome
+    lines.append(_rows(labels, *columns, (["", " *"], star)))
     q = report.quality
     lines.append(
         f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
@@ -517,6 +512,10 @@ def cmd_grover(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "--noise must lie in [0, 1]")
     if args.shots <= 0:
         raise CliError(EXIT_USAGE, "--shots must be positive")
+    if args.shots >= 1 << 63:
+        raise CliError(EXIT_USAGE, "--shots must be below 2^63")
+    if args.seed < 0:
+        raise CliError(EXIT_USAGE, "--seed must be nonnegative")
     inst, _ = _load_instance(args.instance)
     try:
         report = run_search(inst, iters_arg, args.iter_mode, args.shots,

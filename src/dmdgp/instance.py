@@ -360,6 +360,8 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if "n" not in doc or "edges" not in doc:
@@ -466,6 +468,8 @@ def random_internal_coords(n: int, seed: int) -> tuple[InternalCoords, str]:
     """The internal coordinates `generate(n, seed, ...)` builds on."""
     if n < 4:
         raise ValueError(f"vertex count must be >= 4, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     return _draw_internal(n, random.Random(seed))
 
 
@@ -479,6 +483,8 @@ def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, G
     """
     if n < 4:
         raise ValueError(f"vertex count must be >= 4, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if not 0.0 <= long_edge_prob <= 1.0:
         raise ValueError(f"long_edge_prob must be in [0, 1], got {long_edge_prob}")
     rng = random.Random(seed)

@@ -25,7 +25,7 @@ from dmdgp import (
     serialize_instance,
     symmetry_set,
 )
-from dmdgp import bp
+from dmdgp import bp, instance
 from dmdgp.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -97,6 +97,22 @@ class TestGen:
                      str(tmp_path / "missing" / "x.json")])
         assert code == EXIT_IO
 
+    def test_n_above_the_vertex_limit_is_usage_error_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        # drawing 10^20 torsions would not end; the limit is checked first
+        def no_draw(n, rng):
+            raise AssertionError("drew internal coordinates")
+
+        monkeypatch.setattr(instance, "_draw_internal", no_draw)
+        n = 10**20
+        message = f"vertex count {n} exceeds the limit of {instance.MAX_VERTICES}"
+        assert main(["gen", "--n", str(n), "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            instance.random_internal_coords(n, 0)
+
 
 class TestSolve:
     def test_demo_instance(self, demo_path, capsys):
@@ -151,6 +167,17 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", path, "--mode", mode]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_sparse_chain_first_solve_output_is_pinned(self, tmp_path, capsys):
+        # 97 sign levels pruned by few long edges: mode "first" backs out of
+        # dead subtrees, a block of rows at a time
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "100", "--seed", "2", "--long-edge-prob", "0.03",
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", path, "--mode", "first"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "d14c268fa54ea977bab1463c389c3840b38661c9e0c43b8f5c8052fb75fc83c4")
 
     @pytest.mark.parametrize("n, digest", [
         (66, "130cc8a889713764caef13a54cf3e458854e7f42d7a7579cca81d94ef29e8642"),
@@ -221,6 +248,8 @@ class TestGrover:
     @pytest.mark.parametrize("flags, message", [
         (["--noise", "1.5"], "--noise must lie in [0, 1]"),
         (["--shots", "0"], "--shots must be positive"),
+        (["--shots", str(10**20)], "--shots must be below 2^63"),
+        (["--seed", "-1"], "--seed must be nonnegative"),
     ])
     def test_bad_noise_or_shots_is_usage_error(self, demo_path, capsys, flags, message):
         assert main(["grover", demo_path, *flags]) == EXIT_USAGE
@@ -526,6 +555,29 @@ class TestUnrealizableInstance:
 
 
 class TestInvalidDocument:
+    # latin-1 bytes that are not UTF-8, and brackets nested past Python's
+    # recursion limit
+    NOT_DOCUMENTS = {
+        "latin1.json": '{"n": 4, "edges": [], "note": "\u00e9"}'.encode("latin-1"),
+        "latin1.csv": "outcome,probability\n0,0.5\n1,0.5 \u00e9\n".encode("latin-1"),
+        "nested.json": b"[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "latin1.json"), ("grover", "latin1.json"), ("oracle-scan", "latin1.json"),
+        ("metrics", "latin1.csv"),
+        ("solve", "nested.json"), ("grover", "nested.json"), ("oracle-scan", "nested.json"),
+    ])
+    def test_text_that_is_no_document_is_one_line_data_error(self, tmp_path, capsys,
+                                                             command, name):
+        path = tmp_path / name
+        path.write_bytes(self.NOT_DOCUMENTS[name])
+        assert main([command, str(path)] + [str(path)] * (command == "metrics")) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"dmdgp: error: {path}: ")
+
     @pytest.mark.parametrize("coordinate", ["x", [1], None])
     def test_coordinate_of_the_wrong_type_is_data_error(self, tmp_path, capsys, coordinate):
         doc = json.loads(serialize_instance(*demo7_instance()))

@@ -43,7 +43,7 @@ from dmdgp import (
     success_probability,
     symmetry_set,
 )
-from dmdgp.bp import NoSolutionError, SymmetrySet
+from dmdgp.bp import FIRST_BLOCK_ROWS, NoSolutionError, SymmetrySet
 from dmdgp.cli import CliError, run_search
 from dmdgp import geometry
 from dmdgp.geometry import (
@@ -144,7 +144,8 @@ def walk_rows(inst, delta, cap, prefix=""):
 @example(generate(14, 4003, 0.05), 1e-10)
 def test_walk_rows_do_not_depend_on_the_block_cap(generated, delta):
     inst, _ = generated
-    assert walk_rows(inst, delta, 1) == walk_rows(inst, delta, 1 << BLOCK_LEVELS)
+    assert (walk_rows(inst, delta, 1) == walk_rows(inst, delta, FIRST_BLOCK_ROWS)
+            == walk_rows(inst, delta, 1 << BLOCK_LEVELS))
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,6 +198,9 @@ def planar_chains(draw):
        st.sampled_from([1e-4, 1e-10]))
 @example(generate(15, 3, 0.0)[0], 1e-10)
 @example(generate(12, 405007, 0.5)[0], 1e-4)
+# sparse: mode "first" pops over a hundred blocks of FIRST_BLOCK_ROWS rows,
+# most of them dead subtrees, before its first leaf
+@example(generate(19, 11, 0.05)[0], 1e-10)
 # every torsion planar: the chain lies in the plane z = 0, where BP walks the whole tree
 @example(planar_chain([1.5, 1.2, 1.6, 1.3, 1.4, 1.1, 1.7], [2.0, 1.9, 2.1, 1.8, 2.2, 1.7],
                       [1.0, -1.0, -1.0, 1.0, -1.0], "01101", {(1, 6), (2, 7), (1, 8)}), 1e-10)
