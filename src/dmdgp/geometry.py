@@ -131,12 +131,11 @@ class Conformation:
 
 
 def b_matrix(i: int, internal: InternalCoords, sign: int = 1) -> np.ndarray:
-    """Homogeneous transform appended at vertex i of the chain.
-
-    i = 1 is the identity, i = 2 and i = 3 place the second and third
-    atom, and for i >= 4 the torsion sine enters as
-    sign * sqrt(1 - cos^2 omega).  `sign` is ignored for i <= 3.
-    """
+    """Homogeneous transform appended at vertex i of the chain: the identity
+    at i = 1, the second atom at i = 2, and for i >= 4 the step whose
+    torsion sine is sign * sqrt(1 - cos^2 omega).  Vertex 3 is that step
+    with torsion cosine 1, which keeps x3 in the plane z = 0; `sign` is
+    ignored for i <= 3."""
     if not 1 <= i <= internal.n:
         raise ValueError(f"vertex {i} out of range 1..{internal.n}")
     if i == 1:
@@ -152,24 +151,14 @@ def b_matrix(i: int, internal: InternalCoords, sign: int = 1) -> np.ndarray:
             ]
         )
     if i == 3:
-        d = internal.bond(3)
-        ct = math.cos(internal.angle(3))
-        st = math.sin(internal.angle(3))
-        return np.array(
-            [
-                [-ct, -st, 0.0, -d * ct],
-                [st, -ct, 0.0, d * st],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-    if sign not in (1, -1):
+        cw, sw = 1.0, 0.0
+    elif sign in (1, -1):
+        cw = internal.torsion_cos(i)
+        sw = sign * math.sqrt(max(0.0, 1.0 - cw * cw))
+    else:
         raise ValueError("sign must be +1 or -1")
-    d = internal.bond(i)
-    ct = math.cos(internal.angle(i))
-    st = math.sin(internal.angle(i))
-    cw = internal.torsion_cos(i)
-    sw = sign * math.sqrt(max(0.0, 1.0 - cw * cw))
+    d, theta = internal.bond(i), internal.angle(i)
+    ct, st = math.cos(theta), math.sin(theta)
     return np.array(
         [
             [-ct, -st, 0.0, -d * ct],

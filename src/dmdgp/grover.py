@@ -53,10 +53,6 @@ class Statevector:
             raise ValueError(f"state norm^2 = {norm_sq} is not 1")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.amplitudes.size
-
     def norm(self) -> float:
         return float(np.sqrt(self.amplitudes @ self.amplitudes))
 

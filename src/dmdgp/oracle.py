@@ -71,6 +71,8 @@ def oracle_params(n: int, delta: float = DEFAULT_DELTA,
             f"hypothesis violated: delta + epsilon = {delta + epsilon} must be < 1"
         )
     p1 = float(6**4 * (n**6 + n**2))
+    if delta / p1 == 0.0:
+        raise ValueError(f"delta = {delta} is too small: delta / p1 underflows to 0 at n = {n}")
     p2 = math.log(delta / p1) / math.log(1.0 - epsilon)
     return OracleParams(n=n, delta=delta, epsilon=epsilon, p1=p1, p2=p2)
 

@@ -25,13 +25,15 @@ from dmdgp import (
     serialize_instance,
     symmetry_set,
 )
-from dmdgp import bp, instance
+from dmdgp import bp, cli, instance
 from dmdgp.cli import (
     EXIT_DATA,
     EXIT_IO,
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
+    GROVER_MAX_ITERS,
+    _parse_iters,
     _sci3,
     histogram_text,
     load_distribution_csv,
@@ -244,6 +246,19 @@ class TestGrover:
     def test_bad_iters_usage_error(self, demo_path):
         assert main(["grover", demo_path, "--iters", "-2"]) == EXIT_USAGE
         assert main(["grover", demo_path, "--iters", "lots"]) == EXIT_USAGE
+
+    def test_iters_above_the_limit_is_usage_error_before_loading(
+            self, demo_path, monkeypatch, capsys):
+        # 10^20 two-amplitude iterations would not end; the limit is checked first
+        def no_load(path):
+            raise AssertionError("loaded the instance")
+
+        monkeypatch.setattr(cli, "_load_instance", no_load)
+        assert main(["grover", demo_path, "--iters", str(10**20)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["dmdgp: error: --iters must be at most 4194304"]
+        assert _parse_iters("4194304") == GROVER_MAX_ITERS == 4194304
 
     @pytest.mark.parametrize("flags, message", [
         (["--noise", "1.5"], "--noise must lie in [0, 1]"),
@@ -664,6 +679,16 @@ class TestMetrics:
         assert out.startswith("metric,value")
         assert "tv_distance,0.14" in out
 
+    def test_marked_listing_every_outcome_is_usage_error(self, capsys):
+        a = str(data_file("santiago_std_1call.csv"))
+        b = str(data_file("simulator_std_1call.csv"))
+        assert main(["metrics", a, b, "--marked", "0,1,2,3,4,5,6,7"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "dmdgp: error: marked set must be a proper subset of the outcomes"
+        ]
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("outcome,probability\n000,0.5\n00x,0.5\n", encoding="utf-8")
@@ -691,12 +716,38 @@ class TestOracleScan:
         (["--delta", "nan"], "dmdgp: error: delta must be positive, got nan"),
         (["--epsilon", "1e-17"],
          "dmdgp: error: epsilon must lie in (0, 1) with 1 - epsilon < 1 in float64, got 1e-17"),
+        (["--delta", "1e-320"],
+         "dmdgp: error: delta = 1e-320 is too small: delta / p1 underflows to 0 at n = 7"),
     ])
     def test_bad_threshold_is_usage_error(self, demo_path, capsys, flags, message):
         assert main(["oracle-scan", demo_path, *flags]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [message]
+
+    # SHA-256 of the stdout: every candidate's penalty, normalized value and bit
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "c4d844911c497a26cc558d857b6ff74af5a6bfa0f848cd8532ec6c4fc6b399ae"),
+        (["--delta", "1e-4", "--epsilon", "0.9"],
+         "7bc2538dd7e88af8118bf6d6534feff1e58a0d81d71b48e1e40a7b5f77f14c4f"),
+    ])
+    def test_demo_output_is_pinned(self, capsys, flags, digest):
+        assert main(["oracle-scan", str(data_file("demo7.json")), *flags]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, seed, p, digest", [
+        (10, 1, "0", "44caff94cdd4d9274f82af6ef030152118442485f64ac7618fb740b4dbbbf3ed"),
+        (10, 1, "0.5", "8168d03f9493eda062ed62abb4b581a0ed6273cd9b48d761f77395e3913abaed"),
+        (10, 1, "1", "7c3f9fad237937d8c34dc14e0c9fdf36b1810dd26cca2d5df8161e6604616c0c"),
+        (14, 2, "0.5", "9ea949d0bcc7bf11b25d26c94284d704c36a1ceade9ae43df43d2892ce25e10e"),
+    ])
+    def test_generated_output_is_pinned(self, tmp_path, capsys, n, seed, p, digest):
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", str(n), "--seed", str(seed), "--long-edge-prob", p,
+                     "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["oracle-scan", path]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_over_scan_cap_prints_no_rows(self, n30_path, capsys):
         assert main(["oracle-scan", n30_path]) == EXIT_DATA

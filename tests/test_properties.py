@@ -9,7 +9,8 @@ the walk yields the same rows whatever its block cap, and under a
 prefix the rows of the whole walk that begin with it,
 branch-and-prune's half walk and mirror rows are the whole-tree walk's,
 the branch matrices the walk builds as one array are `b_matrix`'s
-doubles, `realize` (one row of the walk) is the per-vertex reference loop
+doubles, `b_matrix(3)` (the general step at torsion cosine 1) is the
+paper's B_3 and gives the walk's root bit for bit, `realize` (one row of the walk) is the per-vertex reference loop
 bit for bit, the closed-form `quad_end_distance` is the reference chain's
 end-to-end distance, the in-place
 Grover run agrees with the single-step reference `evolve` and the
@@ -317,6 +318,31 @@ def test_branch_matrices_equal_b_matrix_bit_for_bit(internal):
     branches = _branch_matrices(internal)
     assert branches.shape == reference.shape
     assert np.array_equal(branches.view(np.uint64), reference.view(np.uint64))
+
+
+def paper_b3(internal):
+    """B_3 as the paper writes it out."""
+    d, theta = internal.bond(3), internal.angle(3)
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([
+        [-c, -s, 0.0, -d * c],
+        [s, -c, 0.0, d * s],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(internal_coords())
+@example(InternalCoords(np.array([1.5, 2.0, 1.0]), np.array([1e-12, 1.0]), np.array([0.5])))
+@example(InternalCoords(np.array([1.5, 2.0, 1.0]), np.array([math.pi - 1e-12, 1.0]),
+                        np.array([0.5])))
+def test_b3_is_the_paper_literal_and_keeps_the_root_bit_for_bit(internal):
+    literal = paper_b3(internal)
+    assert np.array_equal(b_matrix(3, internal), literal)
+    assert np.array_equal(b_matrix(3, internal, -1), literal)
+    b2 = b_matrix(2, internal)
+    assert (b2 @ b_matrix(3, internal)).tobytes() == (b2 @ literal).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
