@@ -159,14 +159,19 @@ def uniform_state(N: int) -> Statevector:
 
 
 def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
-    if isinstance(marked, np.ndarray):
-        idx = np.unique(marked.astype(np.intp, copy=False))
-    else:
-        idx = np.unique(np.fromiter((int(m) for m in marked), dtype=np.intp))
+    """The distinct marked indices, sorted: a non-empty set in 0..N-1."""
+    out_of_range = f"marked indices must lie in 0..{N - 1}"
+    try:
+        if isinstance(marked, np.ndarray):
+            idx = np.unique(marked.astype(np.intp, copy=False))
+        else:
+            idx = np.unique(np.fromiter((int(m) for m in marked), dtype=np.intp))
+    except OverflowError:  # an index that fits no intp
+        raise ValueError(out_of_range) from None
     if idx.size == 0:
         raise ValueError("marked set must not be empty")
     if idx[0] < 0 or idx[-1] >= N:
-        raise ValueError(f"marked indices must lie in 0..{N - 1}")
+        raise ValueError(out_of_range)
     return idx
 
 

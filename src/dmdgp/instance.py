@@ -27,11 +27,11 @@ from .geometry import Conformation, InternalCoords, quad_end_distance, realize
 #: normalization assumes.
 MAX_DISTANCE = 6.0
 
-#: Largest vertex count of an instance, checked by `parse_document` and by
-#: the constructor before any n-length array is made.  `validate` holds a
-#: (4, n) table and a few n-length temporaries, ~56 B per vertex at its peak
-#: (59 MB at this limit), so n in the billions fails in one line instead of
-#: running out of memory.
+#: Largest vertex count of an instance, checked by every way of making one
+#: (the constructor, `parse_document` and the generators) before any
+#: n-length array is made.  `validate` holds a (4, n) table and a few
+#: n-length temporaries, ~56 B per vertex at its peak (59 MB at this limit),
+#: so n in the billions fails in one line instead of running out of memory.
 MAX_VERTICES = 1 << 20
 
 #: Generator draw ranges (angstroms / radians).
@@ -51,6 +51,13 @@ _GENERATION_ATTEMPTS = 1000
 
 class ParseError(ValueError):
     """Raised for malformed instance documents."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if not isinstance(n, int) or n < 4:
+        raise ValueError(f"vertex count must be an integer >= 4, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 #: Exact types the edge rules accept.  type(True) is bool, so a bool is no
@@ -80,14 +87,6 @@ class _FirstFailure:
             if hit.size and hit[0] < self.row:
                 self.row = int(hit[0])
                 self.message = message(self.row)
-
-    def range_rule(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
-        """The range rule, for rows with u < v."""
-        self.test((u < 1) | (v > n), lambda r: f"edge {{{u[r]},{v[r]}}} outside vertex range 1..{n}")
-
-    def weight_rule(self, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
-        self.test(~((d > 0.0) & (d < math.inf)),
-                  lambda r: f"non-positive weight {float(d[r])} on edge {{{u[r]},{v[r]}}}")
 
 
 def _wrong_type(types: frozenset, *columns: Sequence) -> np.ndarray | None:
@@ -172,10 +171,7 @@ class DmdgpInstance:
     d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 4:
-            raise ValueError(f"vertex count must be an integer >= 4, got {self.n}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} exceeds the limit of {MAX_VERTICES}")
+        _check_vertex_count(self.n)
         keys, weights = list(self.edges), list(self.edges.values())
         us, vs = tuple(zip(*keys)) or ((), ())
         first = _FirstFailure(len(keys))
@@ -184,23 +180,31 @@ class DmdgpInstance:
         u, v = _endpoints(us[:first.row], vs[:first.row])
         first.test(u == v, lambda r: f"self-loop at vertex {u[r]}")
         u, v = np.minimum(u, v), np.maximum(u, v)
-        first.range_rule(self.n, u, v)
         first.test(_repeats(u, v), lambda r: f"duplicate edge {{{u[r]},{v[r]}}}")
-        d = _floats(weights[:first.row])
-        first.weight_rule(u, v, d)
-        if first.message:
-            raise ValueError(first.message)
-        self._hold(u, v, d)
+        self._hold(u, v, weights, first)
 
     @classmethod
-    def _checked(cls, n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> "DmdgpInstance":
-        """An instance over arrays that already pass the constructor's rules."""
+    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray,
+                     weights: Sequence[float]) -> "DmdgpInstance":
+        """The instance over endpoints with u < v and no repeated pair, after
+        the constructor's vertex-count, range and weight rules."""
+        _check_vertex_count(n)
         inst = object.__new__(cls)
         object.__setattr__(inst, "n", n)
-        inst._hold(u, v, d)
+        inst._hold(u, v, weights, _FirstFailure(u.size))
         return inst
 
-    def _hold(self, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
+    def _hold(self, u: np.ndarray, v: np.ndarray, weights: Sequence[float],
+              first: _FirstFailure) -> None:
+        """Take the range and weight rules after `first`'s earlier ones, raise
+        the first failure, else keep the edges."""
+        n = self.n
+        first.test((u < 1) | (v > n), lambda r: f"edge {{{u[r]},{v[r]}}} outside vertex range 1..{n}")
+        d = _floats(weights[:first.row])
+        first.test(~((d > 0.0) & (d < math.inf)),
+                   lambda r: f"non-positive weight {float(d[r])} on edge {{{u[r]},{v[r]}}}")
+        if first.message:
+            raise ValueError(first.message)
         for name, a in (("u", u), ("v", v), ("d", d)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -323,8 +327,8 @@ def _instance_from_rows(n: int, rows: list) -> DmdgpInstance:
 
     Each rule runs once over all rows.  A malformed document fails at the
     first row that breaks a row rule, taking the rules in the order below;
-    only then come the vertex count and, edge by edge, the range and weight
-    rules of the constructor.
+    only then come the constructor's own vertex-count, range and weight
+    rules.
     """
     first = _FirstFailure(len(rows))
     first.test(_wrong_type(_ROW, rows), lambda r: "expected [u, v, d]")
@@ -341,17 +345,10 @@ def _instance_from_rows(n: int, rows: list) -> DmdgpInstance:
                lambda r: f"duplicate edge {{{u[r]},{v[r]}}}")
     if first.message:
         raise ParseError(f"edge {first.row + 1}: {first.message}")
-    if n < 4:
-        raise ParseError(f"vertex count must be an integer >= 4, got {n}")
-    if n > MAX_VERTICES:
-        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    d = _floats(ds)
-    first = _FirstFailure(len(rows))
-    first.range_rule(n, u, v)
-    first.weight_rule(u, v, d)
-    if first.message:
-        raise ParseError(first.message)
-    return DmdgpInstance._checked(n, u, v, d)
+    try:
+        return DmdgpInstance._from_arrays(n, u, v, ds)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
@@ -404,32 +401,19 @@ def parse_instance(text: str) -> DmdgpInstance:
     return inst
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(float(x), ".17g")
-
-
 def serialize_instance(inst: DmdgpInstance, ground_truth: GroundTruth | None = None) -> str:
-    """Canonical UTF-8/LF document: edges sorted by (u, v), lossless decimals."""
+    """Canonical UTF-8/LF document: edges sorted by (u, v), lossless decimals
+    (17 significant digits round-trip any double exactly)."""
     lines = ["{", f'  "n": {inst.n},', '  "edges": [']
-    rows = inst.edge_list()
-    for idx, (u, v, d) in enumerate(rows):
-        comma = "," if idx < len(rows) - 1 else ""
-        lines.append(f"    [{u}, {v}, {_fmt(d)}]{comma}")
+    if inst.u.size:
+        lines.append(",\n".join(map("    [%d, %d, %.17g]".__mod__, inst.edge_list())))
     if ground_truth is None:
-        lines.append("  ]")
+        lines += ["  ]", "}"]
     else:
-        lines.append("  ],")
-        lines.append('  "ground_truth": {')
-        lines.append(f'    "bits": "{ground_truth.bits}",')
-        lines.append('    "coords": [')
-        pts = ground_truth.conformation.points
-        for i, p in enumerate(pts):
-            comma = "," if i < len(pts) - 1 else ""
-            lines.append(f"      [{_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}]{comma}")
-        lines.append("    ]")
-        lines.append("  }")
-    lines.append("}")
+        points = map(tuple, ground_truth.conformation.points.tolist())
+        lines += ["  ],", '  "ground_truth": {', f'    "bits": "{ground_truth.bits}",',
+                  '    "coords": [', ",\n".join(map("      [%.17g, %.17g, %.17g]".__mod__, points)),
+                  "    ]", "  }", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -466,10 +450,7 @@ def _draw_internal(n: int, rng: random.Random) -> tuple[InternalCoords, str]:
 
 def random_internal_coords(n: int, seed: int) -> tuple[InternalCoords, str]:
     """The internal coordinates `generate(n, seed, ...)` builds on."""
-    if n < 4:
-        raise ValueError(f"vertex count must be >= 4, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    _check_vertex_count(n)
     return _draw_internal(n, random.Random(seed))
 
 
@@ -481,10 +462,7 @@ def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, G
     j < i - 3 is included with probability `long_edge_prob` when its
     conformation distance lies inside the representable window.
     """
-    if n < 4:
-        raise ValueError(f"vertex count must be >= 4, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    _check_vertex_count(n)
     if not 0.0 <= long_edge_prob <= 1.0:
         raise ValueError(f"long_edge_prob must be in [0, 1], got {long_edge_prob}")
     rng = random.Random(seed)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .grover import Distribution
+from .grover import Distribution, _marked_array
 
 ProbVector = Union[Distribution, Sequence[float], np.ndarray]
 
@@ -54,12 +54,8 @@ def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
     Returns inf when no unsearched outcome carries any probability.
     """
     probs = _as_probs(dist)
-    idx = sorted(set(int(m) for m in marked))
-    if not idx:
-        raise ValueError("marked set must not be empty")
-    if idx[0] < 0 or idx[-1] >= probs.size:
-        raise ValueError(f"marked indices must lie in 0..{probs.size - 1}")
-    if len(idx) == probs.size:
+    idx = _marked_array(probs.size, marked)
+    if idx.size == probs.size:
         raise ValueError("marked set must be a proper subset of the outcomes")
     p_s = float(probs[idx].sum())
     mask = np.ones(probs.size, dtype=bool)
@@ -90,9 +86,10 @@ def compare(p: ProbVector, q: ProbVector,
     sel = None
     p_s = None
     if marked is not None:
-        idx = sorted(set(int(m) for m in marked))
-        sel = selectivity(p, idx)
-        p_s = float(_as_probs(p)[idx].sum())
+        probs = _as_probs(p)
+        idx = _marked_array(probs.size, marked)
+        sel = selectivity(probs, idx)
+        p_s = float(probs[idx].sum())
     return MetricsReport(
         tv_distance=d,
         hellinger=h,

@@ -60,6 +60,15 @@ class TestConstruction:
         assert str(raised.value) == f"vertex count {10**12} exceeds the limit of {MAX_VERTICES}"
         assert peak < 1 << 20
 
+    def test_every_way_of_making_an_instance_rejects_n_below_four_alike(self):
+        message = "vertex count must be an integer >= 4, got 3"
+        for make in (lambda: generate(3, 0, 0.5), lambda: random_internal_coords(3, 0),
+                     lambda: DmdgpInstance(3, {}),
+                     lambda: parse_document('{"n": 3, "edges": []}')):
+            with pytest.raises(ValueError) as raised:
+                make()
+            assert str(raised.value) == message
+
     def test_vertex_limit_is_inclusive(self):
         assert DmdgpInstance(MAX_VERTICES, {(1, 2): 1.5}).n == MAX_VERTICES
         with pytest.raises(ValueError, match="exceeds the limit"):
@@ -147,6 +156,13 @@ class TestRoundTrip:
         assert gt2.bits == gt.bits
         assert np.array_equal(gt2.conformation.points, gt.conformation.points)
         assert serialize_instance(inst2, gt2) == text
+
+    def test_zero_edge_document(self):
+        inst = DmdgpInstance(5, {})
+        text = serialize_instance(inst)
+        assert text == '{\n  "n": 5,\n  "edges": [\n  ]\n}\n'
+        parsed = parse_instance(text)
+        assert parsed.n == 5 and len(parsed.edges) == 0
 
     def test_weights_lossless(self):
         inst, _ = generate(8, 17, 0.7)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ class TestSelectivity:
             selectivity(np.full(4, 0.25), {0, 1, 2, 3})
         with pytest.raises(ValueError):
             selectivity(np.full(4, 0.25), set())
+
+    def test_index_beyond_intp_is_out_of_range(self):
+        # the message of grover_distribution(8, [10**30], 1) too
+        for run in (lambda m: selectivity(np.full(8, 1 / 8), m),
+                    lambda m: compare(np.full(8, 1 / 8), np.full(8, 1 / 8), m)):
+            with pytest.raises(ValueError, match=re.escape("marked indices must lie in 0..7")):
+                run([10**30])
 
 
 class TestCompare:

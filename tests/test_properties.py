@@ -436,6 +436,7 @@ def test_grover_distribution_equals_the_n_vector_run(search):
     (8, [-1], 1, "marked indices must lie in 0..7"),
     (12, [2], 1, "search space size must be a power of 2 >= 2, got 12"),
     (1, [0], 1, "search space size must be a power of 2 >= 2, got 1"),
+    (8, [10**30], 1, "marked indices must lie in 0..7"),
 ])
 def test_grover_distribution_rejects_what_grover_state_rejects(N, marked, iters, message):
     for run in (grover_distribution, grover_state):
