@@ -7,13 +7,15 @@ Subcommands:
     metrics      compare two distribution CSV files
     oracle-scan  tabulate penalty, normalized value, and oracle bit per candidate
 
-Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error (also
-gen over MAX_VERTICES, grover's --seed below 0, --shots from 2^63 or --iters
-over GROVER_MAX_ITERS, metrics --marked listing every outcome, oracle-scan
---delta so small that delta / p1 underflows to 0), 65 data format error
-(also text not UTF-8 or nested too deeply) or an instance outside supported
-limits (search space over the scan cap or, for grover, over
-GROVER_MAX_OUTCOMES, every candidate marked, distances no chain realizes).
+Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error (also gen
+over MAX_VERTICES, grover's --seed below 0, --shots from 2^63 or --iters over
+GROVER_MAX_ITERS, a metrics --marked set that is empty, outside 0..N-1 or
+every outcome, in the library's words, oracle-scan --delta so small that
+delta / p1 underflows to 0), 65 data format error (also text not UTF-8,
+nested too deeply or with an integer over Python's digit limit, a weight
+beyond the doubles) or an instance outside supported limits (search space
+over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, every candidate
+marked, distances no chain realizes).
 """
 
 from __future__ import annotations
@@ -478,7 +480,6 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
 
 def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarray) -> str:
     n_bits = report.n - 3
-    marked = set(report.marked)
     lines = [
         f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
         f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
@@ -487,7 +488,7 @@ def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarra
         f"plan: mode={report.plan.mode}, theta={report.plan.theta:.6f}, "
         f"k_raw={report.plan.k_raw:.4f}, k={report.iters}"
         + ("" if report.iters == report.plan.k else " (explicit)"),
-        f"ideal marked probability: statevector={report.ideal.mass(marked):.9f}, "
+        f"ideal marked probability: statevector={report.ideal.mass(report.marked):.9f}, "
         f"closed form={report.closed_form:.9f}",
     ]
     if report.noise > 0:
@@ -548,25 +549,15 @@ def cmd_grover(args: argparse.Namespace) -> int:
 
 
 def _parse_marked(text: str, width: int) -> list[int]:
+    """`--marked`'s outcomes, `width`-digit bit strings or decimals; `compare` checks the set."""
     out = []
-    size = 1 << width
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if len(token) == width and all(c in "01" for c in token):
-            out.append(int(token, 2))
-            continue
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            value = int(token)
+            out.append(int(token, 2) if len(token) == width and set(token) <= set("01")
+                       else int(token))
         except ValueError:
             raise CliError(EXIT_USAGE, f"bad marked outcome {token!r}")
-        if not 0 <= value < size:
-            raise CliError(EXIT_USAGE, f"marked outcome {value} out of range 0..{size - 1}")
-        out.append(value)
-    if not out:
-        raise CliError(EXIT_USAGE, "--marked lists no outcomes")
-    return sorted(set(out))
+    return out
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -578,7 +569,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             f"distribution sizes differ: {dist_a.size} vs {dist_b.size}",
         )
     width = (dist_a.size - 1).bit_length()
-    marked = _parse_marked(args.marked, width) if args.marked else None
+    marked = None if args.marked is None else _parse_marked(args.marked, width)
     try:
         report = metrics.compare(dist_a, dist_b, marked)
     except ValueError as exc:

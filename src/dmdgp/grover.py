@@ -85,7 +85,7 @@ class Distribution:
         return self.probabilities.size
 
     def mass(self, outcomes: Iterable[int]) -> float:
-        return float(sum(self.probabilities[i] for i in set(outcomes)))
+        return float(sum(self.probabilities[_marked_array(self.n_outcomes, outcomes)]))
 
 
 @dataclass(frozen=True)

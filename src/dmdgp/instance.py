@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -53,11 +55,12 @@ class ParseError(ValueError):
     """Raised for malformed instance documents."""
 
 
-def _check_vertex_count(n: int) -> None:
-    if not isinstance(n, int) or n < 4:
+def _check_vertex_count(n: int) -> int:
+    if not isinstance(n, numbers.Integral) or n < 4:
         raise ValueError(f"vertex count must be an integer >= 4, got {n}")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return int(n)
 
 
 #: Exact types the edge rules accept.  type(True) is bool, so a bool is no
@@ -108,11 +111,18 @@ def _endpoints(us: Sequence[int], vs: Sequence[int]) -> tuple[np.ndarray, np.nda
     return uv[:len(us)], uv[len(us):]
 
 
+def _float(x: float) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the doubles is infinite
+        return math.inf if x > 0 else -math.inf
+
+
 def _floats(values: Sequence[float]) -> np.ndarray:
     try:
         return np.fromiter(values, float, len(values))
-    except OverflowError:  # an int beyond the doubles is infinite
-        return np.array([min(max(x, -math.inf), math.inf) for x in values])
+    except OverflowError:
+        return np.array([_float(x) for x in values])
 
 
 def _repeats(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -171,7 +181,7 @@ class DmdgpInstance:
     d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_vertex_count(self.n)
+        object.__setattr__(self, "n", _check_vertex_count(self.n))
         keys, weights = list(self.edges), list(self.edges.values())
         us, vs = tuple(zip(*keys)) or ((), ())
         first = _FirstFailure(len(keys))
@@ -188,9 +198,8 @@ class DmdgpInstance:
                      weights: Sequence[float]) -> "DmdgpInstance":
         """The instance over endpoints with u < v and no repeated pair, after
         the constructor's vertex-count, range and weight rules."""
-        _check_vertex_count(n)
         inst = object.__new__(cls)
-        object.__setattr__(inst, "n", n)
+        object.__setattr__(inst, "n", _check_vertex_count(n))
         inst._hold(u, v, weights, _FirstFailure(u.size))
         return inst
 
@@ -202,7 +211,8 @@ class DmdgpInstance:
         first.test((u < 1) | (v > n), lambda r: f"edge {{{u[r]},{v[r]}}} outside vertex range 1..{n}")
         d = _floats(weights[:first.row])
         first.test(~((d > 0.0) & (d < math.inf)),
-                   lambda r: f"non-positive weight {float(d[r])} on edge {{{u[r]},{v[r]}}}")
+                   lambda r: f"non-{'positive' if d[r] <= 0 else 'finite'} weight "
+                             f"{float(d[r])} on edge {{{u[r]},{v[r]}}}")
         if first.message:
             raise ValueError(first.message)
         for name, a in (("u", u), ("v", v), ("d", d)):
@@ -359,6 +369,8 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # int() refused a literal over the digit limit
+        raise ParseError(f"integer literal over {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if "n" not in doc or "edges" not in doc:
@@ -450,8 +462,7 @@ def _draw_internal(n: int, rng: random.Random) -> tuple[InternalCoords, str]:
 
 def random_internal_coords(n: int, seed: int) -> tuple[InternalCoords, str]:
     """The internal coordinates `generate(n, seed, ...)` builds on."""
-    _check_vertex_count(n)
-    return _draw_internal(n, random.Random(seed))
+    return _draw_internal(_check_vertex_count(n), random.Random(seed))
 
 
 def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, GroundTruth]:
@@ -462,15 +473,13 @@ def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, G
     j < i - 3 is included with probability `long_edge_prob` when its
     conformation distance lies inside the representable window.
     """
-    _check_vertex_count(n)
+    n = _check_vertex_count(n)
     if not 0.0 <= long_edge_prob <= 1.0:
         raise ValueError(f"long_edge_prob must be in [0, 1], got {long_edge_prob}")
     rng = random.Random(seed)
     internal, bits = _draw_internal(n, rng)
     conf = realize(internal, bits)
-    edges: dict[tuple[int, int], float] = {}
-    for u, v in clique_pairs(n):
-        edges[(u, v)] = conf.distance(u, v)
+    edges = {(u, v): conf.distance(u, v) for u, v in clique_pairs(n)}
     for i in range(5, n + 1):
         # distances from vertex i to 1..i-4: sqrt(x . x) per difference row
         # through matmul is bit for bit `Conformation.distance`'s norm, which

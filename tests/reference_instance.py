@@ -33,8 +33,10 @@ def construct(n, edges):
         if (u, v) in clean:
             raise ValueError(f"duplicate edge {{{u},{v}}}")
         w = float(w)
-        if not math.isfinite(w) or w <= 0.0:
+        if w <= 0.0:
             raise ValueError(f"non-positive weight {w} on edge {{{u},{v}}}")
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight {w} on edge {{{u},{v}}}")
         clean[(u, v)] = w
     return clean
 

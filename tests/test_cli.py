@@ -383,6 +383,18 @@ class TestGrover:
             "outcomes (~2517 MB of memory and ~671 MB of stdout)"
         ]
 
+    def test_inconsistent_instance_exits_one(self, tmp_path, capsys):
+        # the broken demo of TestSolve: no candidate meets the raised d(1,6)
+        inst, _ = demo7_instance()
+        edges = dict(inst.edges)
+        edges[(1, 6)] = edges[(1, 6)] + 1.0
+        path = tmp_path / "broken.json"
+        path.write_text(serialize_instance(DmdgpInstance(7, edges)), encoding="utf-8")
+        assert main(["grover", str(path)]) == EXIT_NO_SOLUTION
+        out, err = capsys.readouterr()
+        assert out == "oracle marks no candidate (inconsistent instance)\n"
+        assert err == ""
+
     def test_every_candidate_marked_is_data_error(self, tmp_path, capsys):
         path = str(tmp_path / "c.json")
         assert main(["gen", "--n", "6", "--seed", "2", "--long-edge-prob", "0",
@@ -570,18 +582,20 @@ class TestUnrealizableInstance:
 
 
 class TestInvalidDocument:
-    # latin-1 bytes that are not UTF-8, and brackets nested past Python's
-    # recursion limit
+    # latin-1 bytes that are not UTF-8, brackets nested past Python's
+    # recursion limit, and a weight with more digits than int() reads
     NOT_DOCUMENTS = {
         "latin1.json": '{"n": 4, "edges": [], "note": "\u00e9"}'.encode("latin-1"),
         "latin1.csv": "outcome,probability\n0,0.5\n1,0.5 \u00e9\n".encode("latin-1"),
         "nested.json": b"[" * 100_000,
+        "long.json": b'{"n": 4, "edges": [[1, 2, ' + b"9" * 5000 + b"]]}",
     }
 
     @pytest.mark.parametrize("command, name", [
         ("solve", "latin1.json"), ("grover", "latin1.json"), ("oracle-scan", "latin1.json"),
         ("metrics", "latin1.csv"),
         ("solve", "nested.json"), ("grover", "nested.json"), ("oracle-scan", "nested.json"),
+        ("solve", "long.json"), ("grover", "long.json"), ("oracle-scan", "long.json"),
     ])
     def test_text_that_is_no_document_is_one_line_data_error(self, tmp_path, capsys,
                                                              command, name):
@@ -688,6 +702,33 @@ class TestMetrics:
         assert err.splitlines() == [
             "dmdgp: error: marked set must be a proper subset of the outcomes"
         ]
+
+    @pytest.mark.parametrize("marked, message", [
+        ("9", "marked indices must lie in 0..7"),
+        ("-1", "marked indices must lie in 0..7"),
+        ("12345678901234567890123", "marked indices must lie in 0..7"),
+        (",", "marked set must not be empty"),
+        ("", "marked set must not be empty"),
+        ("abc", "bad marked outcome 'abc'"),
+    ])
+    def test_bad_marked_set_is_usage_error(self, capsys, marked, message):
+        a = str(data_file("santiago_std_1call.csv"))
+        b = str(data_file("simulator_std_1call.csv"))
+        assert main(["metrics", a, b, "--marked", marked]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
+
+    def test_distributions_of_different_sizes_are_data_error(self, tmp_path, capsys):
+        paths = []
+        for size in (2, 4):
+            path = tmp_path / f"uniform{size}.csv"
+            path.write_text(save_distribution_csv(np.full(size, 1 / size)), encoding="utf-8")
+            paths.append(str(path))
+        assert main(["metrics", *paths]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["dmdgp: error: distribution sizes differ: 2 vs 4"]
 
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

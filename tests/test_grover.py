@@ -119,6 +119,16 @@ class TestDistribution:
         with pytest.raises(ValueError):
             grover_distribution(8, set(), 1)
 
+    @pytest.mark.parametrize("outcomes", [[-1], [8], [10**30], [1, 8]])
+    def test_mass_outside_the_outcomes_is_rejected(self, outcomes):
+        dist = grover_distribution(8, [1], 1)
+        with pytest.raises(ValueError, match=r"^marked indices must lie in 0\.\.7$"):
+            dist.mass(outcomes)
+
+    def test_mass_counts_a_repeated_outcome_once(self):
+        dist = grover_distribution(8, [1], 1)
+        assert dist.mass([1, 1, 2]) == dist.mass([2, 1])
+
     def test_amplitudes_stay_real(self):
         state = grover_state(64, {9}, 6)
         assert np.abs(state.amplitudes.imag).max() < 1e-15

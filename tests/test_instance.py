@@ -74,6 +74,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exceeds the limit"):
             DmdgpInstance(MAX_VERTICES + 1, {(1, 2): 1.5})
 
+    def test_numpy_vertex_count_is_held_as_an_int(self):
+        inst = DmdgpInstance(np.int64(5), small_edges(5))
+        assert type(inst.n) is int and inst.n == 5
+        with pytest.raises(ValueError, match=r"^vertex count must be an integer >= 4, got True$"):
+            DmdgpInstance(True, {})
+
+    def test_numpy_vertex_count_generates_the_int_document(self):
+        assert (serialize_instance(*generate(np.int64(8), 1, 0.5))
+                == serialize_instance(*generate(8, 1, 0.5)))
+
+    def test_int_weight_beyond_the_doubles_is_non_finite(self):
+        with pytest.raises(ValueError, match=r"^non-finite weight inf on edge \{1,2\}$"):
+            DmdgpInstance(4, {(1, 2): 10**400})
+
     def test_edges_are_read_only(self):
         inst = DmdgpInstance(4, small_edges())
         with pytest.raises(TypeError):
@@ -139,6 +153,41 @@ class TestParse:
         text = serialize_instance(inst, gt).replace('"bits": "', '"bits": "zz')
         with pytest.raises(ParseError):
             parse_document(text)
+
+    @pytest.mark.parametrize("weight, message", [
+        ("1" + "0" * 400, "non-finite weight inf on edge {1,2}"),
+        ("-1" + "0" * 400, "non-positive weight -inf on edge {1,2}"),
+        ("1e400", "non-finite weight inf on edge {1,2}"),
+        ("-1e400", "non-positive weight -inf on edge {1,2}"),
+        ("NaN", "non-finite weight nan on edge {1,2}"),
+        ("0", "non-positive weight 0.0 on edge {1,2}"),
+    ])
+    def test_weight_rule_names_the_failure(self, weight, message):
+        with pytest.raises(ParseError) as raised:
+            parse_document(f'{{"n": 4, "edges": [[1, 2, {weight}]]}}')
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("template", ['{{"n": {}, "edges": []}}',
+                                          '{{"n": 4, "edges": [[1, 2, {}]]}}'])
+    def test_integer_over_the_digit_limit_is_parse_error(self, template):
+        with pytest.raises(ParseError) as raised:
+            parse_document(template.format("7" * 5000))
+        assert str(raised.value) == "integer literal over 4300 digits"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top-level value must be an object"),
+        ('{"n": 4.0, "edges": []}', "field 'n' must be an integer, got 4.0"),
+        ('{"n": true, "edges": []}', "field 'n' must be an integer, got True"),
+        ('{"n": 4, "edges": {}}', "field 'edges' must be an array"),
+        ('{"n": 4, "edges": [], "ground_truth": {"bits": "0"}}',
+         "ground_truth must contain 'bits' and 'coords'"),
+        ('{"n": 4, "edges": [], "ground_truth": {"bits": 0, "coords": []}}',
+         "ground_truth.bits must be a string"),
+    ])
+    def test_document_shape_errors(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_document(text)
+        assert str(raised.value) == message
 
     def test_vertex_limit_is_inclusive(self):
         assert parse_instance(f'{{"n": {MAX_VERTICES}, "edges": []}}').n == MAX_VERTICES
