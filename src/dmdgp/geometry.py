@@ -226,10 +226,10 @@ def _sign_blocks(internal: InternalCoords,
 
     Each row carries its partial penalty: placing vertex v adds `penalties`
     over the edges whose later endpoint is v, and a row is dropped once the
-    sum reaches delta.  The terms are nonnegative, so the sum never
-    decreases and no leaf with g < delta is lost.  Each row also carries
-    its sign bits, so an index is exact at any depth: int64 while
-    n - 3 <= 63, Python ints (dtype object) past that.
+    sum reaches delta (a level with no such edge skips both).  The terms
+    are nonnegative, so the sum never decreases and no leaf with g < delta
+    is lost.  Each row also carries its sign bits, so an index is exact at
+    any depth: int64 while n - 3 <= 63, Python ints (dtype object) past that.
 
     `prefix`, a sign word of at most n - 3 bits, limits the walk to the
     subtree under it: down to its last vertex a row takes the one child it
@@ -257,8 +257,9 @@ def _sign_blocks(internal: InternalCoords,
     block = np.zeros((1, n, 3))
     block[0, 1:3] = q2[:3, 3], q[:3, 3]
     bits = np.array([list(map(int, prefix.ljust(n - 3, "0")))], dtype=np.uint8)
+    gs = penalties(block, closes[3])  # the root is cut here: no later level need close an edge
     # (vertex placed last, then Q, points, g and sign bits of the rows)
-    stack = [(3, q[None], block, penalties(block, closes[3]), bits)]
+    stack = [(3, q[None], block, gs, bits)] if gs[0] < delta else []
     while stack:
         v, qs, block, gs, bits = stack.pop()
         while True:
@@ -277,6 +278,8 @@ def _sign_blocks(internal: InternalCoords,
                 block, gs, bits = block.repeat(2, axis=0), gs.repeat(2), bits.repeat(2, axis=0)
                 bits[1::2, v - 4] = 1
             block[:, v - 1] = qs[:, :3, 3]
+            if not closes[v][2].size:  # an edge-free level keeps g and the rows
+                continue
             gs = gs + penalties(block, closes[v])
             kept = (gs < delta).nonzero()[0]
             if kept.size < gs.size:

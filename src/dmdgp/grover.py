@@ -49,7 +49,7 @@ class Statevector:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-D array")
         norm_sq = float(amps @ amps)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {norm_sq} is not 1")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -70,10 +70,10 @@ class Distribution:
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D array")
-        if np.any(probs < -SUM_ATOL):
+        if not (probs >= -SUM_ATOL).all():  # NaN fails too
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
-        if abs(total - 1.0) > SUM_ATOL:
+        if not abs(total - 1.0) <= SUM_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         # np.maximum returns a fresh array: owned here, so made read-only, not copied
         clipped = np.maximum(probs, 0.0)

@@ -49,6 +49,8 @@ MIN_TORSION_SINE = 1e-3
 MIN_PAIR_DISTANCE = BOND_RANGE[0]
 
 _GENERATION_ATTEMPTS = 1000
+#: Long pairs per block of `generate`: its temporaries stay near 1 MiB at any n.
+_PAIR_BLOCK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -99,6 +101,14 @@ def _wrong_type(types: frozenset, *columns: Sequence) -> np.ndarray | None:
         return None
     return np.fromiter((not set(map(type, row)) <= types for row in zip(*columns)),
                        bool, len(columns[0]))
+
+
+def _not_real(values: Sequence) -> np.ndarray | None:
+    """Mask of the bools and non-reals among `values`, or None when there is none."""
+    if set(map(type, values)) <= _NUMBER:
+        return None
+    return np.fromiter((isinstance(x, bool) or not isinstance(x, numbers.Real) for x in values),
+                       bool, len(values))
 
 
 def _endpoints(us: Sequence[int], vs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +201,8 @@ class DmdgpInstance:
         first.test(u == v, lambda r: f"self-loop at vertex {u[r]}")
         u, v = np.minimum(u, v), np.maximum(u, v)
         first.test(_repeats(u, v), lambda r: f"duplicate edge {{{u[r]},{v[r]}}}")
+        first.test(_not_real(weights), lambda r: f"weight on edge {{{u[r]},{v[r]}}} "
+                                                 f"must be a real number, got {weights[r]!r}")
         self._hold(u, v, weights, first)
 
     @classmethod
@@ -465,13 +477,28 @@ def random_internal_coords(n: int, seed: int) -> tuple[InternalCoords, str]:
     return _draw_internal(_check_vertex_count(n), random.Random(seed))
 
 
+def _distances(points: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|x_u - x_v| for 0-based index arrays: sqrt(x . x) through matmul is bit
+    for bit `Conformation.distance`'s norm, which einsum and (x * x).sum are not."""
+    diff = points[u] - points[v]
+    return np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
+
+
+def _coins(rng: random.Random, m: int) -> np.ndarray:
+    """The next m `rng.random()` draws bit for bit, each ((a >> 5) 2^26 + (b >> 6)) / 2^53
+    of two 32-bit words; getrandbits(64 m) takes the same 2m words, first lowest."""
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
+    return ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
+
+
 def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, GroundTruth]:
     """Generate a consistent instance with a known answer.
 
     Deterministic in (n, seed, long_edge_prob).  Clique pairs always
     carry the exact conformation distance; each pair {v_j, v_i} with
     j < i - 3 is included with probability `long_edge_prob` when its
-    conformation distance lies inside the representable window.
+    conformation distance lies inside the representable window.  Each such
+    pair takes one coin, i = 5..n then j = 1..i-4, the order of its edges.
     """
     n = _check_vertex_count(n)
     if not 0.0 <= long_edge_prob <= 1.0:
@@ -479,18 +506,20 @@ def generate(n: int, seed: int, long_edge_prob: float) -> tuple[DmdgpInstance, G
     rng = random.Random(seed)
     internal, bits = _draw_internal(n, rng)
     conf = realize(internal, bits)
-    edges = {(u, v): conf.distance(u, v) for u, v in clique_pairs(n)}
-    for i in range(5, n + 1):
-        # distances from vertex i to 1..i-4: sqrt(x . x) per difference row
-        # through matmul is bit for bit `Conformation.distance`'s norm, which
-        # einsum and norm(axis=...) are not
-        diff = conf.points[:i - 4] - conf.points[i - 1]
-        row = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
-        for j, d in enumerate(row.tolist(), start=1):
-            coin = rng.random()
-            if MIN_PAIR_DISTANCE <= d <= MAX_DISTANCE and coin < long_edge_prob:
-                edges[(j, i)] = d
-    return DmdgpInstance(n, edges), GroundTruth(bits, conf)
+    u, v = np.array(clique_pairs(n), dtype=np.intp).T
+    edges = [(u, v, _distances(conf.points, u - 1, v - 1))]
+    # long pair k is (j, i) with firsts[i - 5] <= k < firsts[i - 4]
+    firsts = np.arange(n - 3, dtype=np.intp).cumsum()
+    for start in range(0, firsts[-1], _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, firsts[-1]), dtype=np.intp)
+        k = k[_coins(rng, k.size) < long_edge_prob]
+        r = firsts.searchsorted(k, "right")
+        j, i = k - firsts[r - 1] + 1, r + 4
+        d = _distances(conf.points, j - 1, i - 1)
+        keep = (MIN_PAIR_DISTANCE <= d) & (d <= MAX_DISTANCE)
+        edges.append((j[keep], i[keep], d[keep]))
+    inst = DmdgpInstance._from_arrays(n, *map(np.concatenate, zip(*edges)))
+    return inst, GroundTruth(bits, conf)
 
 
 def generate_from_topology(
@@ -517,24 +546,22 @@ def generate_from_topology(
     if missing:
         raise ValueError(f"topology is missing clique pairs: {missing}")
     check_bits(ground_bits, n - 3)
-    long_pairs = [(u, v) for (u, v) in sorted(pairs) if v > u + 3]
+    pairs = sorted(pairs)
+    u, v = np.array(pairs, dtype=np.intp).T - 1
 
     rng = random.Random(seed)
     for _ in range(_GENERATION_ATTEMPTS):
         internal, _ = _draw_internal(n, rng)
         conf = realize(internal, ground_bits)
-        if all(
-            MIN_PAIR_DISTANCE <= conf.distance(u, v) <= MAX_DISTANCE
-            for u, v in long_pairs
-        ):
+        d = _distances(conf.points, u, v)
+        if ((MIN_PAIR_DISTANCE <= d) & (d <= MAX_DISTANCE) | (v <= u + 3)).all():
             break
     else:
         raise ValueError(
             f"could not realize the topology inside the distance window "
             f"after {_GENERATION_ATTEMPTS} draws"
         )
-    weights = {(u, v): conf.distance(u, v) for u, v in sorted(pairs)}
-    return DmdgpInstance(n, weights), GroundTruth(ground_bits, conf)
+    return DmdgpInstance(n, dict(zip(pairs, d.tolist()))), GroundTruth(ground_bits, conf)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def _as_probs(p: ProbVector) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D probability vector")
-    if np.any(arr < 0):
+    if not (arr >= 0).all():  # NaN fails too
         raise ValueError("probabilities must be nonnegative")
     return arr
 

@@ -147,6 +147,17 @@ class TestSignTree:
         assert len(kept) < 1 << 5
         assert all(g < 1e-10 for _, _, g in kept)
 
+    def test_root_over_delta_yields_nothing_when_no_later_level_closes_an_edge(self):
+        ic = chain(8, 2)
+        # the one edge, {1,2}, is closed by the root and is 0.5 longer than the bond
+        u, v, d = np.array([0]), np.array([1]), np.array([ic.bond(2) + 0.5])
+        edges = (u, v, d * d)
+        g = (ic.bond(2) ** 2 - (ic.bond(2) + 0.5) ** 2) ** 2
+        assert list(_sign_blocks(ic, edges, delta=g / 2)) == []
+        assert list(_sign_blocks(ic, edges, delta=g / 2, prefix="01010")) == []
+        leaves = [k for index, _, _ in _sign_blocks(ic, edges, delta=2 * g) for k in index.tolist()]
+        assert leaves == list(range(1 << 5))
+
 
 class TestLeafBlocks:
     @pytest.mark.parametrize("levels", [BLOCK_LEVELS - 1, BLOCK_LEVELS, BLOCK_LEVELS + 1])

@@ -217,3 +217,14 @@ class TestTypes:
 
         with pytest.raises(ValueError, match="real"):
             Statevector(np.array([1j, 0]))
+
+    def test_statevector_rejects_nan(self):
+        from dmdgp import Statevector
+
+        with pytest.raises(ValueError, match=r"^state norm\^2 = nan is not 1$"):
+            Statevector(np.array([math.nan, 1.0]))
+
+    def test_distribution_rejects_nan(self):
+        for probs in ([math.nan, 1.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
+                Distribution(np.array(probs))

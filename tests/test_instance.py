@@ -20,6 +20,7 @@ from dmdgp import (
     serialize_instance,
     validate,
 )
+from dmdgp import instance
 from dmdgp.instance import MAX_DISTANCE, MAX_VERTICES, MIN_PAIR_DISTANCE, clique_pairs
 
 
@@ -87,6 +88,16 @@ class TestConstruction:
     def test_int_weight_beyond_the_doubles_is_non_finite(self):
         with pytest.raises(ValueError, match=r"^non-finite weight inf on edge \{1,2\}$"):
             DmdgpInstance(4, {(1, 2): 10**400})
+
+    @pytest.mark.parametrize("weight", ["1.5", True, None, 1 + 2j])
+    def test_weight_must_be_a_real_number(self, weight):
+        with pytest.raises(ValueError) as raised:
+            DmdgpInstance(4, {(1, 2): 1.0, (3, 2): weight})
+        assert str(raised.value) == f"weight on edge {{2,3}} must be a real number, got {weight!r}"
+
+    def test_numpy_real_weights_are_accepted(self):
+        inst = DmdgpInstance(4, {(1, 2): np.float32(1.5), (2, 3): np.int64(2)})
+        assert inst.d.tolist() == [1.5, 2.0]
 
     def test_edges_are_read_only(self):
         inst = DmdgpInstance(4, small_edges())
@@ -315,6 +326,42 @@ class TestGenerate:
     def test_documents_are_pinned(self, n, seed, p, digest):
         text = serialize_instance(*generate(n, seed, p))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # SHA-256 of the generated edge arrays u, v and d, in the generator's
+    # order: a document sorts its edges, so only these pins catch a change
+    # in that order (BP's per-level order, and so its penalty bits, follow it)
+    @pytest.mark.parametrize("n, seed, p, digest", [
+        (4, 0, 0.5, "687c257e0f9f1eee9cfc9444f3aafa35138ad1f777f1bf780d2291c2e989f63d"),
+        (9, 3, 1.0, "dc321141bf39c4c45a10ca61a3423235a471b8b291f9c79b1c5ec3ec6e20e141"),
+        (12, 405007, 0.5, "a77718e6fb73d6d2271f7b91fa8d347e2f38d44f5a1e6207c8678085c05dc70e"),
+        (40, 7, 0.3, "63cfd40e27da6e0ca4d27a0079a3130971732681660cf0fe34f38669560b5b53"),
+        (150, 11, 0.05, "a23e4c23b598db955daa5ae0b67b91be69f4c4b958e9b0ed979e81d5ed02be74"),
+        (300, 1005, 0.5, "f60f8e367bba88264e37d3e4f3aca677444405363078d859de6f069fed17afec"),
+        (600, 2018, 0.5, "1895f9cc48ac299c39fc3d5402c9d918d1dba3fc37b838eead3c2e223482b1bd"),
+    ])
+    def test_edge_arrays_are_pinned(self, n, seed, p, digest):
+        inst, _ = generate(n, seed, p)
+        arrays = (inst.u.astype("<i8"), inst.v.astype("<i8"), inst.d.astype("<f8"))
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 10**6])
+    def test_pair_blocks_do_not_change_the_instance(self, monkeypatch, block):
+        cases = [(5, 1, 1.0), (12, 405007, 0.5), (23, 8, 0.7), (40, 7, 0.3)]
+        expected = [generate(*case) for case in cases]
+        monkeypatch.setattr(instance, "_PAIR_BLOCK", block)
+        for case, (inst, gt) in zip(cases, expected):
+            got, got_gt = generate(*case)
+            assert list(got.edges.items()) == list(inst.edges.items())
+            assert serialize_instance(got, got_gt) == serialize_instance(inst, gt)
+
+    def test_generation_memory_is_bounded_by_the_pair_block(self):
+        tracemalloc.start()
+        try:
+            generate(2000, 1, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -141,3 +141,11 @@ class TestCompare:
         dist = grover_distribution(16, {4, 5, 10, 11}, 1)
         report = compare(dist, np.full(16, 1 / 16), marked={4, 5, 10, 11})
         assert report.success_probability == pytest.approx(1.0, abs=1e-9)
+
+    def test_nan_is_rejected(self):
+        nan = np.array([math.nan, 1.0])
+        u = np.full(2, 0.5)
+        for call in (lambda: compare(nan, u, marked={1}), lambda: compare(u, nan),
+                     lambda: selectivity(nan, {1}), lambda: total_variation(u, nan)):
+            with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
+                call()
