@@ -13,6 +13,7 @@ reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,26 +64,39 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Walk rows, ascending: indices, read-only points (K, n, 3), penalties (K,)."""
+    """Walk rows, ascending: the read-only index (K,), int64 (dtype object
+    past 63 levels), penalties (K,), and read-only points (K, n, 3) that
+    the walk's `blocks` make on first read, z negated in the second half
+    if `mirrored` (the first half's blocks reversed)."""
 
-    index: tuple[int, ...]
-    points: np.ndarray
+    index: np.ndarray
     penalties: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    mirrored: bool
 
     def __len__(self) -> int:
         return len(self.index)
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        points = np.concatenate(self.blocks)
+        if self.mirrored:
+            z = points[len(points) >> 1:, 3:, 2]
+            np.negative(z, out=z)
+        points.flags.writeable = False
+        return points
+
     @property
     def entries(self) -> tuple[Solution, ...]:
         """The rows as `Solution`s, built on each read."""
-        return tuple(Solution(k, Conformation(pts), g)
-                     for k, pts, g in zip(self.index, self.points, self.penalties.tolist()))
+        rows = zip(self.index.tolist(), self.points, self.penalties.tolist())
+        return tuple(Solution(k, Conformation(pts), g) for k, pts, g in rows)
 
     def bit_strings(self) -> list[str]:
-        return [int_to_bits(k, self.points.shape[1] - 3) for k in self.index]
+        return [int_to_bits(k, self.blocks[0].shape[1] - 3) for k in self.index.tolist()]
 
     def indices(self) -> list[int]:
-        return list(self.index)
+        return self.index.tolist()
 
 
 def symmetry_set(inst: DmdgpInstance) -> SymmetrySet:
@@ -159,14 +173,11 @@ def branch_and_prune(
         ks, blocks, gs = leaves("")
     if not ks:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
-    if mirror:  # the 1 subtree: the 0 subtree's blocks reversed, z negated below
+    if mirror:  # the 1 subtree: the 0 subtree's blocks reversed, z negated in `points`
         top = (1 << (inst.n - 3)) - 1
         ks += [top - k[::-1] for k in reversed(ks)]
         blocks += [block[::-1] for block in reversed(blocks)]
         gs += [g[::-1] for g in reversed(gs)]
-    index, points, g = (np.concatenate(a) for a in (ks, blocks, gs))
-    if mirror:
-        z = points[index.size >> 1:, 3:, 2]
-        np.negative(z, out=z)
-    points.flags.writeable = False
-    return SolutionSet(tuple(index.tolist()), points, g)
+    index = np.concatenate(ks)
+    index.flags.writeable = False
+    return SolutionSet(index, np.concatenate(gs), tuple(blocks), mirror)

@@ -255,15 +255,16 @@ def _sci3(values: np.ndarray, out: np.ndarray) -> None:
         out[rows] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 11)
 
 
-def solution_table(width: int, index: Sequence[int], penalties: np.ndarray) -> str:
+def solution_table(width: int, index: np.ndarray | Sequence[int], penalties: np.ndarray) -> str:
     """`  bits={}  index={}  penalty={:.3e}` for each row, bits `width`
-    wide, each line ending in a newline; `index` is ascending and not empty.
+    wide, each line ending in a newline; `index` is ascending and not empty,
+    such as `SolutionSet.index`, whose int64 array is used as it is.
 
     The table is one (K, W) byte array: K copies of the fixed text, the
     bit and index digits written from the indices as int64 (as Python
     strings past 63 bits), and `_sci3`'s penalty fields.  A row with a
     shorter index or penalty than the widest leaves NUL bytes in their
-    columns, and one mask drops them."""
+    columns, and one `bytes.replace` drops them."""
     rows, digits = len(index), len(str(index[-1]))
     tail = f"  penalty={'0' * 11}\n"
     wide = width > 63
@@ -289,7 +290,7 @@ def solution_table(width: int, index: Sequence[int], penalties: np.ndarray) -> s
             # a digit at 10^p, p > 0, is dropped from an index below 10^p
             number *= k[:, None] >= _LEAD[-digits:]
     _sci3(penalties, table[:, -12:-1])
-    return table[table != 0].tobytes().decode("ascii")
+    return table.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def histogram_text(labels: Sequence[str], values: np.ndarray) -> str:
@@ -453,7 +454,7 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
             f"search space {N} exceeds grover's limit of {GROVER_MAX_OUTCOMES} outcomes "
             f"(~{N * GROVER_BYTES_PER_OUTCOME / 1e6:.0f} MB of memory and "
             f"~{N * GROVER_STDOUT_BYTES_PER_OUTCOME / 1e6:.0f} MB of stdout)")
-    marked = bp.branch_and_prune(inst, internal).index
+    marked = tuple(bp.branch_and_prune(inst, internal).index.tolist())
     if len(marked) == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
     plan = grover.iteration_count(N, len(marked), mode=iter_mode)

@@ -24,8 +24,10 @@ def _as_probs(p: ProbVector) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D probability vector")
-    if not (arr >= 0).all():  # NaN fails too
+    if not arr.min() >= 0:  # NaN fails too
         raise ValueError("probabilities must be nonnegative")
+    if arr.max() == math.inf:
+        raise ValueError("probabilities must be finite")
     return arr
 
 
@@ -36,16 +38,22 @@ def _as_pair(p: ProbVector, q: ProbVector) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
+def _total_variation(pa: np.ndarray, qa: np.ndarray) -> float:
+    return 0.5 * float(np.abs(pa - qa).sum())
+
+
+def _hellinger(pa: np.ndarray, qa: np.ndarray) -> float:
+    return math.sqrt(0.5 * float(((np.sqrt(pa) - np.sqrt(qa)) ** 2).sum()))
+
+
 def total_variation(p: ProbVector, q: ProbVector) -> float:
     """d = 1/2 sum |p_x - q_x|."""
-    pa, qa = _as_pair(p, q)
-    return 0.5 * float(np.abs(pa - qa).sum())
+    return _total_variation(*_as_pair(p, q))
 
 
 def hellinger(p: ProbVector, q: ProbVector) -> float:
     """h with h^2 = 1/2 sum (sqrt(p_x) - sqrt(q_x))^2."""
-    pa, qa = _as_pair(p, q)
-    return math.sqrt(0.5 * float(((np.sqrt(pa) - np.sqrt(qa)) ** 2).sum()))
+    return _hellinger(*_as_pair(p, q))
 
 
 def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
@@ -54,7 +62,10 @@ def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
     Returns inf when no unsearched outcome carries any probability.
     """
     probs = _as_probs(dist)
-    idx = _marked_array(probs.size, marked)
+    return _selectivity(probs, _marked_array(probs.size, marked))
+
+
+def _selectivity(probs: np.ndarray, idx: np.ndarray) -> float:
     if idx.size == probs.size:
         raise ValueError("marked set must be a proper subset of the outcomes")
     p_s = float(probs[idx].sum())
@@ -81,15 +92,15 @@ class MetricsReport:
 def compare(p: ProbVector, q: ProbVector,
             marked: Iterable[int] | None = None) -> MetricsReport:
     """Full report for p versus q; selectivity/success are computed on p."""
-    d = total_variation(p, q)
-    h = hellinger(p, q)
+    pa, qa = _as_pair(p, q)
+    d = _total_variation(pa, qa)
+    h = _hellinger(pa, qa)
     sel = None
     p_s = None
     if marked is not None:
-        probs = _as_probs(p)
-        idx = _marked_array(probs.size, marked)
-        sel = selectivity(probs, idx)
-        p_s = float(probs[idx].sum())
+        idx = _marked_array(pa.size, marked)
+        sel = _selectivity(pa, idx)
+        p_s = float(pa[idx].sum())
     return MetricsReport(
         tv_distance=d,
         hellinger=h,

@@ -150,11 +150,12 @@ class TestBranchAndPrune:
         inst, gt = generate(n, 3, 0.5)
         internal = extract_internal(inst)
         sols = branch_and_prune(inst, internal)
+        assert sols.index.dtype == (np.int64 if n - 3 <= 63 else object)
         assert bits_to_int(gt.bits) in sols.index
-        for k, pts in zip(sols.index, sols.points):
+        for k, pts in zip(sols.index.tolist(), sols.points):
             assert type(k) is int
             assert np.array_equal(pts, realize(internal, int_to_bits(k, n - 3)).points)
-        assert branch_and_prune(inst, internal, mode="first").index == sols.index[:1]
+        assert np.array_equal(branch_and_prune(inst, internal, mode="first").index, sols.index[:1])
 
 
 def exhaustive_solution_scan(inst, tol=1e-4):
@@ -213,10 +214,24 @@ WALK_DIGESTS = {
 def test_branch_and_prune_rows_are_pinned(params, mode):
     inst, _ = generate(*params)
     sols = branch_and_prune(inst, extract_internal(inst), mode=mode)
-    h = hashlib.sha256(repr(sols.index).encode())
+    h = hashlib.sha256(repr(tuple(sols.index.tolist())).encode())
     h.update(sols.points.tobytes())
     h.update(sols.penalties.tobytes())
     assert h.hexdigest() == WALK_DIGESTS[params][mode == "first"]
+
+
+@pytest.mark.parametrize("params", WALK_DIGESTS)
+def test_points_are_assembled_on_first_read(params):
+    inst, _ = generate(*params)
+    sols = branch_and_prune(inst, extract_internal(inst))
+    assert "points" not in vars(sols)
+    assert not sols.index.flags.writeable
+    points = sols.points
+    h = hashlib.sha256(repr(tuple(sols.index.tolist())).encode())
+    h.update(points.tobytes())
+    h.update(sols.penalties.tobytes())
+    assert h.hexdigest() == WALK_DIGESTS[params][0]
+    assert sols.points is points and not points.flags.writeable
 
 
 @pytest.mark.parametrize("params", [p for p, d in WALK_DIGESTS.items() if d[2]])

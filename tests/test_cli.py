@@ -540,6 +540,21 @@ def report_columns(draw):
     return width, sorted(marked), draw(column), weights
 
 
+def test_solve_and_search_never_assemble_points(demo_path, monkeypatch, capsys):
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(branch_and_prune(*args, **kwargs))
+        return made[-1]
+
+    branch_and_prune = bp.branch_and_prune
+    monkeypatch.setattr(bp, "branch_and_prune", recorded)
+    assert main(["solve", demo_path]) == EXIT_OK
+    run_search(demo7_instance()[0], None, "nearest", 100, 0, 0.0)
+    assert len(made) == 2
+    assert all("points" not in vars(sols) for sols in made)
+
+
 @settings(max_examples=100, deadline=None)
 @given(report_columns())
 @example((2, [1], [0.0, -0.0, 0.5, -0.0], [1, 1, 1, 1]))

@@ -149,3 +149,15 @@ class TestCompare:
                      lambda: selectivity(nan, {1}), lambda: total_variation(u, nan)):
             with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
                 call()
+
+    def test_inf_is_rejected_as_non_finite(self):
+        # +inf passes the nonnegative check, so it fails on its own; -inf and NaN do not reach it
+        inf = np.array([math.inf, 1.0])
+        u = np.full(2, 0.5)
+        for call in (lambda: compare(inf, u, marked={1}), lambda: compare(u, inf),
+                     lambda: selectivity(inf, {1}), lambda: hellinger(u, inf)):
+            with pytest.raises(ValueError, match="^probabilities must be finite$"):
+                call()
+        for bad in (-inf, np.array([math.nan, math.inf])):
+            with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
+                compare(u, bad)
