@@ -9,12 +9,14 @@ conformation, so the ground-truth answer is known exactly.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import numbers
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -373,8 +375,36 @@ def _instance_from_rows(n: int, rows: list) -> DmdgpInstance:
         raise ParseError(str(exc)) from exc
 
 
+@contextmanager
+def _collection_paused() -> Iterator[None]:
+    """Automatic cyclic collection off for the block, if it was on, and back on
+    after it, however the block ends; a collector already off stays off."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
-    """Parse an instance document, keeping any bundled ground truth."""
+    """Parse an instance document, keeping any bundled ground truth.
+
+    Automatic cyclic collection is paused while the document is decoded and
+    checked.  The decoded JSON holds one list per edge row (~11k at n = 600),
+    which the collector would otherwise scan again and again while they are
+    alive, yet JSON cannot hold a reference cycle: the lists are freed by
+    reference counting when the decoding call returns, before collection
+    resumes.  The pause is process-wide, so other threads' automatic
+    collections wait for the parse (~10 ms at n = 600).
+    """
+    with _collection_paused():
+        return _decode_document(text)
+
+
+def _decode_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -407,6 +437,7 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
             check_bits(bits, n - 3)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        rule = f"ground_truth.coords must be an array of {n} [x, y, z] rows of numbers"
         if not (
             isinstance(coords, list)
             and len(coords) == n
@@ -414,8 +445,14 @@ def parse_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
             and set(map(len, coords)) <= {3}
             and set(map(type, itertools.chain.from_iterable(coords))) <= _NUMBER
         ):
-            raise ParseError(f"ground_truth.coords must be an array of {n} [x, y, z] rows of numbers")
-        ground = GroundTruth(bits, Conformation(np.array(coords, dtype=float)))
+            raise ParseError(rule)
+        try:
+            points = np.array(coords, dtype=float)
+        except OverflowError as exc:  # an int beyond the doubles
+            raise ParseError(rule) from exc
+        if not np.isfinite(points).all():
+            raise ParseError(rule)
+        ground = GroundTruth(bits, Conformation(points))
     return inst, ground
 
 
@@ -427,16 +464,23 @@ def parse_instance(text: str) -> DmdgpInstance:
 
 def serialize_instance(inst: DmdgpInstance, ground_truth: GroundTruth | None = None) -> str:
     """Canonical UTF-8/LF document: edges sorted by (u, v), lossless decimals
-    (17 significant digits round-trip any double exactly)."""
+    (17 significant digits round-trip any double exactly).
+
+    Rows are formatted one at a time from lazy `zip`s over flat lists of
+    numbers, so no per-row tuple or list stays alive for the cyclic collector
+    to scan."""
     lines = ["{", f'  "n": {inst.n},', '  "edges": [']
     if inst.u.size:
-        lines.append(",\n".join(map("    [%d, %d, %.17g]".__mod__, inst.edge_list())))
+        o = np.lexsort((inst.v, inst.u))
+        rows = zip(inst.u[o].tolist(), inst.v[o].tolist(), inst.d[o].tolist())
+        lines.append(",\n".join(map("    [%d, %d, %.17g]".__mod__, rows)))
     if ground_truth is None:
         lines += ["  ]", "}"]
     else:
-        points = map(tuple, ground_truth.conformation.points.tolist())
+        xyz = iter(ground_truth.conformation.points.ravel().tolist())
         lines += ["  ],", '  "ground_truth": {', f'    "bits": "{ground_truth.bits}",',
-                  '    "coords": [', ",\n".join(map("      [%.17g, %.17g, %.17g]".__mod__, points)),
+                  '    "coords": [',
+                  ",\n".join(map("      [%.17g, %.17g, %.17g]".__mod__, zip(xyz, xyz, xyz))),
                   "    ]", "  }", "}"]
     return "\n".join(lines) + "\n"
 
@@ -452,8 +496,10 @@ def _draw_internal(n: int, rng: random.Random) -> tuple[InternalCoords, str]:
     or the implied quadruple end-to-end distance dips below the steric
     cutoff.
     """
-    bonds = np.array([rng.uniform(*BOND_RANGE) for _ in range(n - 1)])
-    angles = np.array([rng.uniform(*ANGLE_RANGE) for _ in range(n - 2)])
+    (b0, b1), (a0, a1) = BOND_RANGE, ANGLE_RANGE
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), draw for draw
+    bonds = b0 + (b1 - b0) * _coins(rng, n - 1)
+    angles = a0 + (a1 - a0) * _coins(rng, n - 2)
     cosines = np.empty(n - 3)
     bits = []
     for i in range(4, n + 1):

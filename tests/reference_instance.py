@@ -9,8 +9,18 @@ import math
 
 import numpy as np
 
-from dmdgp.geometry import COS_TOLERANCE, InconsistentDistances, InternalCoords
-from dmdgp.instance import MAX_DISTANCE, MAX_VERTICES, ParseError, ValidationReport, Violation
+from dmdgp.geometry import COS_TOLERANCE, InconsistentDistances, InternalCoords, quad_end_distance
+from dmdgp.instance import (
+    ANGLE_RANGE,
+    BOND_RANGE,
+    MAX_DISTANCE,
+    MAX_VERTICES,
+    MIN_PAIR_DISTANCE,
+    MIN_TORSION_SINE,
+    ParseError,
+    ValidationReport,
+    Violation,
+)
 
 
 def construct(n, edges):
@@ -39,6 +49,27 @@ def construct(n, edges):
             raise ValueError(f"non-finite weight {w} on edge {{{u},{v}}}")
         clean[(u, v)] = w
     return clean
+
+
+def draw_internal(n, rng):
+    """`instance._draw_internal`: one `rng.uniform` call per bond, angle and
+    torsion draw, in that order."""
+    bonds = np.array([rng.uniform(*BOND_RANGE) for _ in range(n - 1)])
+    angles = np.array([rng.uniform(*ANGLE_RANGE) for _ in range(n - 2)])
+    cosines, bits = [], []
+    for i in range(4, n + 1):
+        local_bonds = (bonds[i - 4], bonds[i - 3], bonds[i - 2])
+        local_angles = (angles[i - 4], angles[i - 3])
+        while True:
+            omega = rng.uniform(0.0, 2.0 * math.pi)
+            if abs(math.sin(omega)) < MIN_TORSION_SINE:
+                continue
+            cw = math.cos(omega)
+            if quad_end_distance(local_bonds, local_angles, cw) >= MIN_PAIR_DISTANCE:
+                break
+        cosines.append(cw)
+        bits.append("0" if math.sin(omega) > 0 else "1")
+    return InternalCoords(bonds, angles, np.array(cosines)), "".join(bits)
 
 
 def parse_edges(text):

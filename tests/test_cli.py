@@ -622,7 +622,8 @@ class TestInvalidDocument:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"dmdgp: error: {path}: ")
 
-    @pytest.mark.parametrize("coordinate", ["x", [1], None])
+    @pytest.mark.parametrize("coordinate", ["x", [1], None, pytest.param(10**400, id="10**400"),
+                                            float("nan"), float("inf"), float("-inf")])
     def test_coordinate_of_the_wrong_type_is_data_error(self, tmp_path, capsys, coordinate):
         doc = json.loads(serialize_instance(*demo7_instance()))
         doc["ground_truth"]["coords"][2][1] = coordinate
@@ -635,6 +636,21 @@ class TestInvalidDocument:
             f"dmdgp: error: {path}: ground_truth.coords must be an array of 7 [x, y, z] "
             "rows of numbers"
         ]
+
+    @pytest.mark.parametrize("command", ["grover", "oracle-scan"])
+    def test_coordinate_that_is_no_finite_double_is_data_error(self, tmp_path, capsys, command):
+        for k, coordinate in enumerate([10**400, float("nan"), float("inf"), float("-inf")]):
+            doc = json.loads(serialize_instance(*demo7_instance()))
+            doc["ground_truth"]["coords"][2][1] = coordinate
+            path = tmp_path / f"coords{k}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main([command, str(path)]) == EXIT_DATA
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == [
+                f"dmdgp: error: {path}: ground_truth.coords must be an array of 7 [x, y, z] "
+                "rows of numbers"
+            ]
 
     def test_violation_listing_is_capped(self, tmp_path, capsys):
         # every one of the 199997 cliques is incomplete

@@ -1,9 +1,12 @@
+import gc
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_instance as reference
 from dmdgp import (
     DmdgpInstance,
     ParseError,
@@ -206,6 +209,50 @@ class TestParse:
             parse_instance(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
 
 
+class TestCollectorPause:
+    # a valid document, then one for each way a parse can fail part-way
+    DOCUMENTS = {
+        "valid": serialize_instance(*generate(9, 3, 1.0)),
+        "bad JSON": '{"n": 4, "edges": [',
+        "bad row": '{"n": 4, "edges": [[1, 2, 1.5], [1, "3", 2.5]]}',
+        "bad coordinate": serialize_instance(*generate(5, 1, 0.0)).replace(
+            "[0, 0, 0]", "[0, 1" + "0" * 400 + ", 0]"),
+        "nested too deeply": "[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", list(DOCUMENTS))
+    def test_parse_leaves_the_collector_as_it_found_it(self, name, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            if name == "valid":
+                parse_document(self.DOCUMENTS[name])
+            else:
+                with pytest.raises(ParseError):
+                    parse_document(self.DOCUMENTS[name])
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    def test_parse_and_serialize_run_no_automatic_collection(self):
+        text = serialize_instance(*generate(300, 1005, 0.5))
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            again = serialize_instance(*parse_document(text))
+        finally:
+            gc.callbacks.remove(count)
+        assert generations == []
+        assert again == text
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n,seed,p", [(4, 0, 0.0), (7, 42, 1.0), (9, 3, 0.5)])
     def test_serialize_parse_identity(self, n, seed, p):
@@ -362,6 +409,21 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak <= 4 << 20
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40, 303])
+    def test_internal_draws_are_per_draw_uniforms(self, n):
+        # the bonds and angles come from one block of coins each; bit for
+        # bit the reference's rng.uniform calls, with the rng left in step
+        for seed in range(6):
+            reference_rng = random.Random(seed)
+            expected, expected_bits = reference.draw_internal(n, reference_rng)
+            internal, bits = random_internal_coords(n, seed)
+            assert bits == expected_bits
+            for got, want in zip(vars(internal).values(), vars(expected).values()):
+                assert got.tobytes() == want.tobytes()
+            rng = random.Random(seed)
+            instance._draw_internal(n, rng)
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
