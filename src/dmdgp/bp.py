@@ -154,6 +154,8 @@ def branch_and_prune(
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if internal.n != inst.n:
+        raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
     limit, cap = (1, FIRST_BLOCK_ROWS) if mode == "first" else (None, 1 << BLOCK_LEVELS)
     edges = edge_arrays(inst)
 

@@ -231,10 +231,21 @@ def _sign_blocks(internal: InternalCoords,
     is lost.  Each row also carries its sign bits, so an index is exact at
     any depth: int64 while n - 3 <= 63, Python ints (dtype object) past that.
 
+    A block of one row is not doubled but extended in place, the common
+    case on a deep chain, whose tree is mostly a path: one product gives
+    both children's Q, their terms come from one (2, e, 3) difference with
+    the row, and the one child below delta writes its point and sign bit
+    into the row.  The row's g is a Python float, whose sum is the array
+    add's.  The run ends at the leaf, at a dead row, at an edge-free level
+    (which the doubling step takes), or when both children survive: they
+    become a block of two rows.  Its rows are the doubling step's, bit for
+    bit, and a yielded row is never written again.
+
     `prefix`, a sign word of at most n - 3 bits, limits the walk to the
     subtree under it: down to its last vertex a row takes the one child it
     names, Q <- Q B_v^bit.  "0" is vertex 4's 0 subtree, whose mirror is the
     rest of the tree (see `bp.branch_and_prune`); a full word is `realize`.
+    The walk starts from one row, so the prefix's levels are one-row steps.
     """
     n = internal.n
     # the edges vertex i closes (vertex 3 closes those of the fixed root
@@ -245,8 +256,10 @@ def _sign_blocks(internal: InternalCoords,
     starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
     closes = {i: (u[s:e], slice(i - 1, i) if i > 3 else w[s:e], d2[s:e])
               for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
-    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4]
+    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4],
+    # and of the one child the prefix names at named[v - 4]
     branches = _branch_matrices(internal)
+    named = [branches[j, int(bit), None] for j, bit in enumerate(prefix)]
     # a row's sign bits, leftmost first, weigh 2^(n-4) .. 1
     weights = np.array([1 << j for j in range(n - 4, -1, -1)],
                        dtype=np.int64 if n - 3 <= 63 else object)
@@ -267,16 +280,42 @@ def _sign_blocks(internal: InternalCoords,
                 h = gs.size >> 1
                 stack.append((v, qs[h:], block[h:], gs[h:], bits[h:]))
                 qs, block, gs, bits = qs[:h], block[:h], gs[:h], bits[:h]
+            if gs.size == 1 and v < n:  # one row: extend it in place
+                q, row, g, signs = qs[0], block[0], gs.item(), bits[0]
+                live = [0]
+                while v < n and len(live) == 1:
+                    us, _, d2s = closes[v + 1]
+                    if not d2s.size and v - 3 >= len(named):
+                        break  # an edge-free level: the doubling step takes the row
+                    v += 1
+                    kids = q @ (named[v - 4] if v - 4 < len(named) else branches[v - 4])
+                    xs, gk = kids[:, :3, 3], [g]
+                    if d2s.size:  # `penalties` of the children, from their differences with the row
+                        diff = row.take(us, axis=0) - xs[:, None]
+                        residual = np.einsum("kej,kej->ke", diff, diff) - d2s
+                        gk = [g + t for t in np.einsum("ke,ke->k", residual, residual).tolist()]
+                    live = [c for c, t in enumerate(gk) if t < delta]
+                    if len(live) == 1:
+                        c, = live
+                        q, g, row[v - 1] = kids[c], gk[c], xs[c]
+                        if v - 4 >= len(named):  # a named level's bit was set at the root
+                            signs[v - 4] = c
+                if not live:  # the row is dead
+                    break
+                if len(live) == 2:  # both children: a block of two rows
+                    qs, gs = kids, np.array(gk)
+                    block, bits = block.repeat(2, axis=0), bits.repeat(2, axis=0)
+                    block[:, v - 1] = xs
+                    bits[1, v - 4] = 1
+                    continue
+                qs, gs = q[None], np.array([g])
             if v == n:
                 yield bits @ weights, block, gs
                 break
             v += 1
-            if v - 4 < len(prefix):  # the one child the prefix names
-                qs = qs @ branches[v - 4, int(prefix[v - 4])]
-            else:
-                qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
-                block, gs, bits = block.repeat(2, axis=0), gs.repeat(2), bits.repeat(2, axis=0)
-                bits[1::2, v - 4] = 1
+            qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
+            block, gs, bits = block.repeat(2, axis=0), gs.repeat(2), bits.repeat(2, axis=0)
+            bits[1::2, v - 4] = 1
             block[:, v - 1] = qs[:, :3, 3]
             if not closes[v][2].size:  # an edge-free level keeps g and the rows
                 continue

@@ -110,7 +110,10 @@ def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, n
     """(first, g) per block of the sign-tree walk run with no cut, where g[j]
     is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order (with no
     cut each block is a range, so first is its index[0]); raises
-    ScanCapExceeded before any work when 2^(n-3) > DEFAULT_SCAN_CAP."""
+    ScanCapExceeded before any work when 2^(n-3) > DEFAULT_SCAN_CAP, and
+    ValueError when `internal` is not of an n-vertex chain."""
+    if internal.n != inst.n:
+        raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
     check_scan_cap(inst.n)
     return ((int(index[0]), g) for index, _, g in _sign_blocks(internal, edge_arrays(inst)))
 

@@ -132,6 +132,13 @@ class TestBranchAndPrune:
         with pytest.raises(ValueError):
             branch_and_prune(inst, extract_internal(inst), mode="some")
 
+    def test_internal_coordinates_of_another_chain_rejected(self):
+        inst10, inst12 = generate(10, 1, 0.5)[0], generate(12, 1, 0.5)[0]
+        with pytest.raises(ValueError, match="^internal coordinates built for n=10, instance has n=12$"):
+            branch_and_prune(inst12, extract_internal(inst10))
+        with pytest.raises(ValueError, match="^internal coordinates built for n=12, instance has n=10$"):
+            branch_and_prune(inst10, extract_internal(inst12), mode="first")
+
     def test_n4_instance_has_both_branches(self):
         # no edge can reach back past the fixed root at n=4, so nothing prunes
         inst, _ = generate(4, 99, 1.0)

@@ -174,6 +174,23 @@ class TestLeafBlocks:
             seen += size
         assert seen == 1 << levels
 
+    # a deep chain with 2 leaves, and a sparse one with 2^3
+    @pytest.mark.parametrize("params", [(120, 3, 0.5), (40, 6, 0.05)])
+    @pytest.mark.parametrize("cap", [1, 16])
+    @pytest.mark.parametrize("prefix", ["0", ""])
+    def test_rows_extended_in_place_never_reach_a_yielded_row(self, params, cap, prefix):
+        inst, _ = generate(*params)
+        ic = extract_internal(inst)
+        blocks = list(_sign_blocks(ic, edge_arrays(inst), 1e-10, cap, prefix))  # the whole walk first
+        assert blocks
+        for index, block, _ in blocks:
+            for k, pts in zip(index.tolist(), block):
+                assert np.array_equal(pts, realize(ic, int_to_bits(k, inst.n - 3)).points)
+        if cap == 1 and params == (40, 6, 0.05):
+            # rows the walk went on to extend in place were split off these blocks' arrays
+            assert any(a.base is not None and a.base is b.base
+                       for i, (_, a, _) in enumerate(blocks) for _, b, _ in blocks[i + 1:])
+
     @pytest.mark.parametrize("cap", [1, 3, 16])
     def test_blocks_hold_at_most_cap_rows(self, cap):
         inst, _ = generate(12, 5, 0.5)

@@ -18,7 +18,7 @@ from dmdgp import (
     penalty,
     symmetry_set,
 )
-from dmdgp.oracle import ScanCapExceeded
+from dmdgp.oracle import ScanCapExceeded, scan
 from reference_geometry import realize
 
 
@@ -118,6 +118,13 @@ class TestEval:
 
 
 class TestMarkedSet:
+    def test_internal_coordinates_of_another_chain_rejected(self):
+        inst10, inst12 = generate(10, 1, 0.5)[0], generate(12, 1, 0.5)[0]
+        with pytest.raises(ValueError, match="^internal coordinates built for n=12, instance has n=10$"):
+            marked_set(inst10, extract_internal(inst12), oracle_params(10))
+        with pytest.raises(ValueError, match="^internal coordinates built for n=10, instance has n=12$"):
+            marked_set(inst12, extract_internal(inst10), oracle_params(12))
+
     def test_demo_marked_indices(self):
         inst, _ = demo7_instance()
         marked = marked_set(inst, extract_internal(inst), oracle_params(7))
@@ -155,6 +162,14 @@ class TestMarkedSet:
             for k in marked:
                 flipped = int(complement(int_to_bits(k, 5)), 2)
                 assert flipped in marked
+
+    def test_scan_rejects_internal_coordinates_of_another_chain(self):
+        inst10, inst12 = generate(10, 1, 0.5)[0], generate(12, 1, 0.5)[0]
+        # before any block is walked: scan is not a generator function
+        with pytest.raises(ValueError, match="^internal coordinates built for n=10, instance has n=12$"):
+            scan(inst12, extract_internal(inst10))
+        with pytest.raises(ValueError, match="^internal coordinates built for n=12, instance has n=10$"):
+            scan(inst10, extract_internal(inst12))
 
     def test_scan_cap(self):
         inst, _ = generate(28, 0, 0.5)

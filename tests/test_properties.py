@@ -5,7 +5,8 @@ the reference `realize` and `penalty`, branch-and-prune keeps exactly the candid
 with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
-the walk yields the same rows whatever its block cap, and under a
+the walk yields the block-only reference walk's rows, bit for bit,
+and the same rows whatever its block cap, and under a
 prefix the rows of the whole walk that begin with it,
 branch-and-prune's half walk and mirror rows are the whole-tree walk's,
 the branch matrices the walk builds as one array are `b_matrix`'s
@@ -23,7 +24,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmdgp import (
@@ -64,7 +65,7 @@ from dmdgp.instance import (
     random_internal_coords,
 )
 from dmdgp.oracle import scan
-from reference_geometry import realize
+from reference_geometry import realize, sign_blocks
 
 instances = st.builds(
     generate,
@@ -128,13 +129,48 @@ def test_bp_keeps_exactly_the_candidates_that_pass_per_candidate_checks(generate
         assert branch_and_prune(inst, internal, delta, mode="first").indices() == expected[:1]
 
 
+def walk_blocks(inst, delta, cap, prefix="", walk=_sign_blocks):
+    """The blocks a sign-tree walk under `prefix` yields, each a list of
+    its rows: (index, points bytes, g bytes)."""
+    return [[(k, pts.tobytes(), g.tobytes()) for k, pts, g in zip(index.tolist(), block, gs)]
+            for index, block, gs in walk(extract_internal(inst), edge_arrays(inst),
+                                         delta, cap, prefix)]
+
+
 def walk_rows(inst, delta, cap, prefix=""):
-    """Every row the sign-tree walk under `prefix` yields: (index, points
-    bytes, g bytes)."""
-    return [(k, pts.tobytes(), g.tobytes())
-            for index, block, gs in _sign_blocks(extract_internal(inst), edge_arrays(inst),
-                                                 delta, cap, prefix)
-            for k, pts, g in zip(index.tolist(), block, gs)]
+    """Every row the sign-tree walk under `prefix` yields."""
+    return [row for block in walk_blocks(inst, delta, cap, prefix) for row in block]
+
+
+@st.composite
+def walks(draw):
+    """(instance, delta, cap, prefix) of a walk: n = 4..40, or 4..14 with no
+    cut, which walks every leaf; instances with over 2^10 solutions (sparse
+    long edges) are rejected, since a cut walk yields them all."""
+    delta = draw(st.sampled_from([math.inf, 1e-4, 1e-10]))
+    inst, _ = draw(st.builds(generate, n=st.integers(4, 14 if delta == math.inf else 40),
+                             seed=st.integers(0, 2**32 - 1),
+                             long_edge_prob=st.floats(0.0, 1.0)))
+    assume(symmetry_set(inst).expansion_size <= 1 << 10)
+    return (inst, delta, draw(st.sampled_from([1, FIRST_BLOCK_ROWS, 1 << BLOCK_LEVELS])),
+            draw(st.text("01", max_size=inst.n - 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(walks())
+@example((generate(120, 3, 0.5)[0], 1e-10, FIRST_BLOCK_ROWS, ""))  # a deep chain
+# sparse: one-row runs end with both children alive
+@example((generate(40, 4, 0.05)[0], 1e-10, 1 << BLOCK_LEVELS, "0"))
+@example((generate(12, 1, 0.0)[0], math.inf, FIRST_BLOCK_ROWS, ""))  # clique-only
+# the prefix's row dies at vertex 5, the first level that can cut it
+@example((generate(12, 1, 1.0)[0], 1e-10, 1, "01"))
+def test_walk_yields_the_block_only_walks_rows(case):
+    inst, delta, cap, prefix = case
+    got = walk_blocks(inst, delta, cap, prefix)
+    expected = walk_blocks(inst, delta, cap, prefix, walk=sign_blocks)
+    if delta == math.inf:  # the scan numbers a block's rows from its first index
+        assert got == expected
+    assert [row for block in got for row in block] == [row for block in expected for row in block]
 
 
 @settings(max_examples=40, deadline=None)
