@@ -152,7 +152,8 @@ def load_distribution_csv(text: str) -> np.ndarray:
         if k in seen:
             raise ParseError(f"row {row}: duplicate outcome {outcome}")
         seen[k] = p
-    assert width is not None
+    if width is None:
+        raise ParseError("no outcome rows")
     size = 1 << width
     if len(seen) < size:
         # the keys are distinct indices below size, so the count finds a gap

@@ -352,7 +352,10 @@ def penalties(points: np.ndarray,
 
 
 def penalty(conf: Conformation, inst: "DmdgpInstance") -> float:
-    """Penalty of one conformation: `penalties` of a stack of one."""
+    """Penalty of one conformation: `penalties` of a stack of one; raises
+    ValueError when `conf` is not of an n-vertex chain."""
+    if conf.n != inst.n:
+        raise ValueError(f"conformation has n={conf.n}, instance has n={inst.n}")
     return float(penalties(conf.points[None], edge_arrays(inst))[0])
 
 

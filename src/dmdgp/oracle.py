@@ -94,6 +94,8 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     """Evaluate the oracle at candidate index k."""
     if params.n != inst.n:
         raise ValueError(f"params built for n={params.n}, instance has n={inst.n}")
+    if internal.n != inst.n:
+        raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
     bits = int_to_bits(k, inst.n - 3)
     return int(oracle_bit(params, penalty(realize(internal, bits), inst)))
 

@@ -1,13 +1,10 @@
 import dataclasses
-import hashlib
-import json
 import math
 import re
 import struct
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +25,6 @@ from dmdgp import (
 from dmdgp import bp, cli, instance
 from dmdgp.cli import (
     EXIT_DATA,
-    EXIT_IO,
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
@@ -47,6 +43,9 @@ from dmdgp.bitstrings import _bit_digits, all_bits, int_to_bits
 from dmdgp.grover import Distribution, iteration_count
 from dmdgp.instance import ParseError
 
+import test_cli_contract as contract
+from test_cli_contract import in_process_dir  # noqa: F401  (a fixture of the moved tests)
+
 
 @pytest.fixture()
 def demo_path(tmp_path):
@@ -56,14 +55,141 @@ def demo_path(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def n30_path(tmp_path):
-    path = tmp_path / "n30.json"
-    inst, gt = generate(30, 1, 0.5)
-    path.write_text(serialize_instance(inst, gt), encoding="utf-8")
-    return str(path)
+# Tests whose argv, inputs and expected exit code, stderr and output are now
+# rows of the contract table (tests/test_cli_contract.py), under the node ids
+# they had here: class, test, then parameter id.  The ids are kept, so a run
+# still reports each check under the name it has always had; each checks its
+# rows in-process, in this module's own runner directory.
+MOVED = {
+    "TestGen": {
+        "test_n_below_four_is_usage_error": "gen-n3",
+        "test_edge_probability_out_of_range_is_usage_error": "gen-edge-prob-1.5",
+        "test_unwritable_path_is_io_error": "gen-unwritable",
+    },
+    "TestSolve": {
+        "test_missing_file_is_io_error": "solve-missing-file",
+        "test_tol_is_unknown_option": "solve-tol",
+        "test_malformed_file_is_data_error": "solve-oops",
+        "test_deep_chain_solve_output_is_pinned": {
+            "all-5ef4a38a6d4adb2685fd85272bdb28e375319765b88907af2298ab92f405ba53":
+                "solve-chain300-all",
+            "first-acff1a6975bfeff61932108d8c02bf2f4829f59f43878b916a6cc79c1317a556":
+                "solve-chain300-first"},
+        "test_sparse_chain_first_solve_output_is_pinned": "solve-sparse100-first",
+        "test_int64_boundary_solve_output_is_pinned": {
+            "66-130cc8a889713764caef13a54cf3e458854e7f42d7a7579cca81d94ef29e8642": "solve-chain66",
+            "67-def0f37cf21a9ea478c07dfea2b5f0a45307c4c09ba1c1cf84edd67dd0673ec5": "solve-chain67"},
+    },
+    "TestGrover": {
+        "test_bad_iters_usage_error": ["grover-iters-negative", "grover-iters-word"],
+        "test_bad_noise_or_shots_is_usage_error": {
+            "flags0---noise must lie in [0, 1]": "grover-noise-1.5",
+            "flags1---shots must be positive": "grover-shots-0",
+            "flags2---shots must be below 2^63": "grover-shots-1e20",
+            "flags3---seed must be nonnegative": "grover-seed-negative"},
+        "test_demo_output_is_golden": {
+            "flags0-grover_demo7_seed5.txt": "grover-demo7-seed5",
+            "flags1-grover_demo7_noise0.3_seed3.txt": "grover-demo7-noise"},
+        "test_generated_output_is_pinned": {
+            f"{n}-{seed}-flags{k}-{contract.ROW[row].out}": row for k, (n, seed, row) in enumerate([
+                (12, 1, "grover-n12-seed5"), (12, 1, "grover-n12-noise"),
+                (13, 2, "grover-n13-seed5"), (13, 2, "grover-n13-noise"),
+                (14, 3, "grover-n14-seed5"), (14, 3, "grover-n14-noise")])},
+        "test_n17_output_is_pinned": {
+            f"flags{k}-{contract.ROW[row].out}": row
+            for k, row in enumerate(["grover-n17-seed5", "grover-n17-noise"])},
+        "test_generated_svg_is_pinned": "grover-n13-svg",
+        "test_generated_solve_output_is_pinned": "solve-clique13",
+        "test_generated_n15_solve_output_is_pinned": "solve-clique15",
+        "test_over_scan_cap_is_data_error": "grover-over-scan-cap",
+        "test_inconsistent_instance_exits_one": "grover-broken",
+        "test_every_candidate_marked_is_data_error": "grover-every-marked",
+    },
+    "TestUnrealizableInstance": {
+        "test_is_data_error": {command: f"{command}-unrealizable"
+                               for command in ("solve", "grover", "oracle-scan")},
+    },
+    "TestInvalidDocument": {
+        "test_text_that_is_no_document_is_one_line_data_error": {
+            f"{command}-{name}": f"{command}-{name.split('.')[0]}" for command, name in [
+                ("solve", "latin1.json"), ("grover", "latin1.json"),
+                ("oracle-scan", "latin1.json"), ("metrics", "latin1.csv"),
+                ("solve", "nested.json"), ("grover", "nested.json"),
+                ("oracle-scan", "nested.json"),
+                ("solve", "long.json"), ("grover", "long.json"), ("oracle-scan", "long.json")]},
+        "test_coordinate_of_the_wrong_type_is_data_error": {
+            param: f"solve-coords-{key}" for param, key in [
+                ("x", "x"), ("coordinate1", "list"), ("None", "null"), ("10**400", "1e400"),
+                ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")]},
+        "test_coordinate_that_is_no_finite_double_is_data_error": {
+            command: [f"{command}-coords-{key}" for key in ("1e400", "nan", "inf", "-inf")]
+            for command in ("grover", "oracle-scan")},
+        "test_huge_vertex_count_is_one_line": {
+            command: f"{command}-huge" for command in ("solve", "grover", "oracle-scan")},
+        "test_short_violation_listing_is_whole": "solve-ceiling",
+    },
+    "TestMetrics": {
+        "test_marked_listing_every_outcome_is_usage_error": "metrics-marked-every",
+        "test_bad_marked_set_is_usage_error": {
+            "9-marked indices must lie in 0..7": "metrics-marked-9",
+            "-1-marked indices must lie in 0..7": "metrics-marked--1",
+            "12345678901234567890123-marked indices must lie in 0..7": "metrics-marked-huge",
+            ",-marked set must not be empty": "metrics-marked-comma",
+            "-marked set must not be empty": "metrics-marked-empty",
+            "abc-bad marked outcome 'abc'": "metrics-marked-abc"},
+        "test_distributions_of_different_sizes_are_data_error": "metrics-sizes-differ",
+        "test_malformed_csv_is_data_error": "metrics-bad-row",
+    },
+    "TestOracleScan": {
+        "test_hypothesis_violation_is_usage_error": "oracle-scan-delta-epsilon-sum",
+        "test_bad_threshold_is_usage_error": {
+            f"flags{k}-{contract.ROW[row].err[0]}": row for k, row in enumerate([
+                "oracle-scan-delta-nan", "oracle-scan-epsilon-1e-17",
+                "oracle-scan-delta-1e-320"])},
+        "test_demo_output_is_pinned": {
+            f"flags{k}-{contract.ROW[row].out}": row
+            for k, row in enumerate(["oracle-scan-demo7", "oracle-scan-demo7-thresholds"])},
+        "test_generated_output_is_pinned": {
+            f"{n}-{seed}-{p}-{contract.ROW[row].out}": row for n, seed, p, row in [
+                (10, 1, "0", "oracle-scan-n10-p0"), (10, 1, "0.5", "oracle-scan-n10-p0.5"),
+                (10, 1, "1", "oracle-scan-n10-p1"), (14, 2, "0.5", "oracle-scan-n14-p0.5")]},
+        "test_over_scan_cap_prints_no_rows": "oracle-scan-over-scan-cap",
+    },
+    "TestDistributionCsv": {
+        "test_missing_outcomes_message_is_bounded": "metrics-wide",
+        "test_unknown_flag_is_usage_error": "solve-unknown-flag",
+        "test_help_exits_zero": "help",
+    },
+}
 
 
+def with_moved_tests(cls):
+    """Add to `cls` the tests that MOVED lists under its name."""
+    for name, rows in MOVED[cls.__name__].items():
+        setattr(cls, name, _moved_test(rows))
+    return cls
+
+
+def _moved_test(rows):
+    """A test of `rows`, a row id or a list of them, or one such test per
+    parameter id of a dict of them."""
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("row_ids", list(rows.values()), ids=list(rows))
+        def test(self, in_process_dir, monkeypatch, row_ids):
+            _check_rows(row_ids, in_process_dir, monkeypatch)
+        return test
+
+    def test(self, in_process_dir, monkeypatch):
+        _check_rows(rows, in_process_dir, monkeypatch)
+    return test
+
+
+def _check_rows(row_ids, in_process_dir, monkeypatch):
+    for row_id in [row_ids] if isinstance(row_ids, str) else row_ids:
+        contract.check_in_process(contract.ROW[row_id], in_process_dir, monkeypatch)
+
+
+@with_moved_tests
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -80,24 +206,6 @@ class TestGen:
             assert main(["gen", "--n", "6", "--seed", "3", "--long-edge-prob",
                          "0.5", "--out", str(out)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
-
-    def test_n_below_four_is_usage_error(self, tmp_path):
-        code = main(["gen", "--n", "3", "--seed", "0", "--out",
-                     str(tmp_path / "x.json")])
-        assert code == EXIT_USAGE
-
-    def test_edge_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
-        code = main(["gen", "--n", "5", "--long-edge-prob", "1.5", "--out",
-                     str(tmp_path / "x.json")])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "dmdgp: error: long_edge_prob must be in [0, 1], got 1.5\n"
-        )
-
-    def test_unwritable_path_is_io_error(self, tmp_path):
-        code = main(["gen", "--n", "5", "--seed", "0", "--out",
-                     str(tmp_path / "missing" / "x.json")])
-        assert code == EXIT_IO
 
     def test_n_above_the_vertex_limit_is_usage_error_before_any_draw(
             self, tmp_path, monkeypatch, capsys):
@@ -116,6 +224,7 @@ class TestGen:
             instance.random_internal_coords(n, 0)
 
 
+@with_moved_tests
 class TestSolve:
     def test_demo_instance(self, demo_path, capsys):
         assert main(["solve", demo_path]) == EXIT_OK
@@ -143,59 +252,8 @@ class TestSolve:
         assert main(["solve", str(out)]) == EXIT_OK
         assert "solutions found: 8" in capsys.readouterr().out
 
-    def test_missing_file_is_io_error(self):
-        assert main(["solve", "/nonexistent/inst.json"]) == EXIT_IO
 
-    def test_tol_is_unknown_option(self, demo_path, capsys):
-        assert main(["solve", demo_path, "--tol", "0"]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1] == "dmdgp: error: unrecognized arguments: --tol 0"
-
-    def test_malformed_file_is_data_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{oops", encoding="utf-8")
-        assert main(["solve", str(path)]) == EXIT_DATA
-
-    @pytest.mark.parametrize("mode, digest", [
-        ("all", "5ef4a38a6d4adb2685fd85272bdb28e375319765b88907af2298ab92f405ba53"),
-        ("first", "acff1a6975bfeff61932108d8c02bf2f4829f59f43878b916a6cc79c1317a556"),
-    ])
-    def test_deep_chain_solve_output_is_pinned(self, tmp_path, capsys, mode, digest):
-        # 297 sign levels and |S| = 1: indices far past 63 bits
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", "300", "--seed", "1", "--long-edge-prob", "0.5",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["solve", path, "--mode", mode]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    def test_sparse_chain_first_solve_output_is_pinned(self, tmp_path, capsys):
-        # 97 sign levels pruned by few long edges: mode "first" backs out of
-        # dead subtrees, a block of rows at a time
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", "100", "--seed", "2", "--long-edge-prob", "0.03",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["solve", path, "--mode", "first"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "d14c268fa54ea977bab1463c389c3840b38661c9e0c43b8f5c8052fb75fc83c4")
-
-    @pytest.mark.parametrize("n, digest", [
-        (66, "130cc8a889713764caef13a54cf3e458854e7f42d7a7579cca81d94ef29e8642"),
-        (67, "def0f37cf21a9ea478c07dfea2b5f0a45307c4c09ba1c1cf84edd67dd0673ec5"),
-    ])
-    def test_int64_boundary_solve_output_is_pinned(self, tmp_path, capsys, n, digest):
-        # 63 sign bits, the widest int64 index, and 64, the narrowest Python-int
-        # one; at 64 one solution index lies below 2^63 and its mirror above
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", str(n), "--seed", "1", "--long-edge-prob", "0.5",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
+@with_moved_tests
 class TestGrover:
     def test_demo_auto(self, demo_path, capsys):
         assert main(["grover", demo_path, "--seed", "7"]) == EXIT_OK
@@ -243,10 +301,6 @@ class TestGrover:
         assert main(["grover", demo_path, "--noise", "0.5", "--seed", "2"]) == EXIT_OK
         assert "lambda=0.5" in capsys.readouterr().out
 
-    def test_bad_iters_usage_error(self, demo_path):
-        assert main(["grover", demo_path, "--iters", "-2"]) == EXIT_USAGE
-        assert main(["grover", demo_path, "--iters", "lots"]) == EXIT_USAGE
-
     def test_iters_above_the_limit_is_usage_error_before_loading(
             self, demo_path, monkeypatch, capsys):
         # 10^20 two-amplitude iterations would not end; the limit is checked first
@@ -260,103 +314,10 @@ class TestGrover:
         assert err.splitlines() == ["dmdgp: error: --iters must be at most 4194304"]
         assert _parse_iters("4194304") == GROVER_MAX_ITERS == 4194304
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--noise", "1.5"], "--noise must lie in [0, 1]"),
-        (["--shots", "0"], "--shots must be positive"),
-        (["--shots", str(10**20)], "--shots must be below 2^63"),
-        (["--seed", "-1"], "--seed must be nonnegative"),
-    ])
-    def test_bad_noise_or_shots_is_usage_error(self, demo_path, capsys, flags, message):
-        assert main(["grover", demo_path, *flags]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [f"dmdgp: error: {message}"]
-
-    @pytest.mark.parametrize("flags, golden", [
-        (["--seed", "5"], "grover_demo7_seed5.txt"),
-        (["--noise", "0.3", "--seed", "3"], "grover_demo7_noise0.3_seed3.txt"),
-    ])
-    def test_demo_output_is_golden(self, demo_path, capsys, flags, golden):
-        assert main(["grover", demo_path, *flags]) == EXIT_OK
-        expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
-        assert capsys.readouterr().out == expected
-
-    # SHA-256 of the stdout; its two N-row tables are most of its 31-130 KB
-    @pytest.mark.parametrize("n, seed, flags, digest", [
-        (12, 1, ["--seed", "5"],
-         "d171ba0a2ab0e2cfb2f3afd96414f504b67567d7d9b70f89d623f89781089e2c"),
-        (12, 1, ["--noise", "0.3", "--seed", "5"],
-         "da251c279a08517d91a292869a38e837922c0704307d5a225ea8874d231fd94c"),
-        (13, 2, ["--seed", "5"],
-         "ac5b8f79ec2dc8285829c83f3e731c02ee6f39d14ff63848868b0b7c7c68b805"),
-        (13, 2, ["--noise", "0.3", "--seed", "5"],
-         "9a58d3e53c800bed6061b12c42b7c31dae3c4c3ba1b8bc083efdc2a270577616"),
-        (14, 3, ["--seed", "5"],
-         "458e0ebbb154cc6c71957c8825708ece7a74e2cd6cf208bd174716fd16eb9cbb"),
-        (14, 3, ["--noise", "0.3", "--seed", "5"],
-         "daac97ee5cd32df87006c42f7026c4d58ffad20aca794f74bd562d35c340dc20"),
-    ])
-    def test_generated_output_is_pinned(self, tmp_path, capsys, n, seed, flags, digest):
-        path = tmp_path / "inst.json"
-        path.write_text(serialize_instance(*generate(n, seed, 0.5)), encoding="utf-8")
-        assert main(["grover", str(path), *flags]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    # N = 2^14, M = 2, k = 71: sixteen times the outcomes of the n = 13 pins
-    @pytest.mark.parametrize("flags, digest", [
-        (["--seed", "5"],
-         "95c881af376ccc112d7802d67d0b3f2d8d245bd1e4bd073943bd0461c14d45d7"),
-        (["--noise", "0.3", "--seed", "5"],
-         "bfd5723fb918d2a5aeea22d70e1428c1bc4d4cbea7b34ff985716bcfe471dbd4"),
-    ])
-    def test_n17_output_is_pinned(self, tmp_path, capsys, flags, digest):
-        path = str(tmp_path / "n17.json")
-        assert main(["gen", "--n", "17", "--seed", "2", "--long-edge-prob", "0.5",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["grover", path, *flags]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    def test_generated_svg_is_pinned(self, tmp_path, capsys):
-        path, svg = tmp_path / "inst.json", tmp_path / "hist.svg"
-        path.write_text(serialize_instance(*generate(13, 2, 0.5)), encoding="utf-8")
-        assert main(["grover", str(path), "--seed", "5", "--svg", str(svg)]) == EXIT_OK
-        assert capsys.readouterr().out.endswith(f"wrote histogram to {svg}\n")
-        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
-            "9d5018921c8b744d15ea4ec4e06a044cf6787bd69f7ee2fabd37045e96f722bd")
-
-    def test_generated_solve_output_is_pinned(self, tmp_path, capsys):
-        # clique-only n = 13: all 1024 leaves are solutions, two levels above the blocks
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", "13", "--seed", "2", "--long-edge-prob", "0.0",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "a12ddf2df8c15ce33746444c16c7ef48d1700572e3735f4905b18bb70505df48")
-
-    def test_generated_n15_solve_output_is_pinned(self, tmp_path, capsys):
-        # clique-only n = 15: 4096 rows, half of them mirror rows
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", "15", "--seed", "3", "--long-edge-prob", "0.0",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["solve", path, "--mode", "all"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "d568e71c67eb2b8aae6123237a07fb8a0c9c2e38ea5557d775910fbce719d6ed")
-
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
             run_search(inst, None, "nearest", 100, 0, -0.25)
-
-    def test_over_scan_cap_is_data_error(self, n30_path, capsys):
-        assert main(["grover", n30_path]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "dmdgp: error: search space 134217728 exceeds scan cap 16777216"
-        ]
 
     def test_over_outcome_limit_is_data_error_before_any_work(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -381,30 +342,6 @@ class TestGrover:
         assert err.splitlines() == [
             "dmdgp: error: search space 8388608 exceeds grover's limit of 4194304 "
             "outcomes (~2517 MB of memory and ~671 MB of stdout)"
-        ]
-
-    def test_inconsistent_instance_exits_one(self, tmp_path, capsys):
-        # the broken demo of TestSolve: no candidate meets the raised d(1,6)
-        inst, _ = demo7_instance()
-        edges = dict(inst.edges)
-        edges[(1, 6)] = edges[(1, 6)] + 1.0
-        path = tmp_path / "broken.json"
-        path.write_text(serialize_instance(DmdgpInstance(7, edges)), encoding="utf-8")
-        assert main(["grover", str(path)]) == EXIT_NO_SOLUTION
-        out, err = capsys.readouterr()
-        assert out == "oracle marks no candidate (inconsistent instance)\n"
-        assert err == ""
-
-    def test_every_candidate_marked_is_data_error(self, tmp_path, capsys):
-        path = str(tmp_path / "c.json")
-        assert main(["gen", "--n", "6", "--seed", "2", "--long-edge-prob", "0",
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["grover", path]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "dmdgp: error: oracle marks all 8 candidates: nothing to amplify"
         ]
 
 
@@ -578,80 +515,14 @@ def test_report_rows_equal_per_row_formatting(columns):
     assert lines[head + N].startswith("sampled vs ideal: ")
 
 
+@with_moved_tests
 class TestUnrealizableInstance:
     """Valid by `validate`, but d(1,4) = 5.9 exceeds the 4.5 that three
     bonds of 1.5 span, so its torsion cosine lies outside [-1, 1]."""
 
-    @pytest.mark.parametrize("command", ["solve", "grover", "oracle-scan"])
-    def test_is_data_error(self, tmp_path, capsys, command):
-        path = tmp_path / "unrealizable.json"
-        path.write_text(json.dumps({"n": 4, "edges": [
-            [1, 2, 1.5], [1, 3, 2.5], [1, 4, 5.9], [2, 3, 1.5], [2, 4, 1.5], [3, 4, 1.5],
-        ]}), encoding="utf-8")
-        assert main([command, str(path)]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            f"dmdgp: error: {path}: torsion cosine outside [-1, 1]: inconsistent distances"
-        ]
 
-
+@with_moved_tests
 class TestInvalidDocument:
-    # latin-1 bytes that are not UTF-8, brackets nested past Python's
-    # recursion limit, and a weight with more digits than int() reads
-    NOT_DOCUMENTS = {
-        "latin1.json": '{"n": 4, "edges": [], "note": "\u00e9"}'.encode("latin-1"),
-        "latin1.csv": "outcome,probability\n0,0.5\n1,0.5 \u00e9\n".encode("latin-1"),
-        "nested.json": b"[" * 100_000,
-        "long.json": b'{"n": 4, "edges": [[1, 2, ' + b"9" * 5000 + b"]]}",
-    }
-
-    @pytest.mark.parametrize("command, name", [
-        ("solve", "latin1.json"), ("grover", "latin1.json"), ("oracle-scan", "latin1.json"),
-        ("metrics", "latin1.csv"),
-        ("solve", "nested.json"), ("grover", "nested.json"), ("oracle-scan", "nested.json"),
-        ("solve", "long.json"), ("grover", "long.json"), ("oracle-scan", "long.json"),
-    ])
-    def test_text_that_is_no_document_is_one_line_data_error(self, tmp_path, capsys,
-                                                             command, name):
-        path = tmp_path / name
-        path.write_bytes(self.NOT_DOCUMENTS[name])
-        assert main([command, str(path)] + [str(path)] * (command == "metrics")) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"dmdgp: error: {path}: ")
-
-    @pytest.mark.parametrize("coordinate", ["x", [1], None, pytest.param(10**400, id="10**400"),
-                                            float("nan"), float("inf"), float("-inf")])
-    def test_coordinate_of_the_wrong_type_is_data_error(self, tmp_path, capsys, coordinate):
-        doc = json.loads(serialize_instance(*demo7_instance()))
-        doc["ground_truth"]["coords"][2][1] = coordinate
-        path = tmp_path / "coords.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["solve", str(path)]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            f"dmdgp: error: {path}: ground_truth.coords must be an array of 7 [x, y, z] "
-            "rows of numbers"
-        ]
-
-    @pytest.mark.parametrize("command", ["grover", "oracle-scan"])
-    def test_coordinate_that_is_no_finite_double_is_data_error(self, tmp_path, capsys, command):
-        for k, coordinate in enumerate([10**400, float("nan"), float("inf"), float("-inf")]):
-            doc = json.loads(serialize_instance(*demo7_instance()))
-            doc["ground_truth"]["coords"][2][1] = coordinate
-            path = tmp_path / f"coords{k}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            assert main([command, str(path)]) == EXIT_DATA
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.splitlines() == [
-                f"dmdgp: error: {path}: ground_truth.coords must be an array of 7 [x, y, z] "
-                "rows of numbers"
-            ]
-
     def test_violation_listing_is_capped(self, tmp_path, capsys):
         # every one of the 199997 cliques is incomplete
         path = tmp_path / "empty.json"
@@ -668,32 +539,8 @@ class TestInvalidDocument:
                             "{1,2}, {1,3}, {1,4}, {2,3}, {2,4}, {3,4}")
         assert lines[-1] == "  ... and 199987 more"
 
-    @pytest.mark.parametrize("command", ["solve", "grover", "oracle-scan"])
-    def test_huge_vertex_count_is_one_line(self, tmp_path, capsys, command):
-        # validate would ask for a (4, n) table of 29 TiB
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"n": 10**12, "edges": [[1, 2, 1.5], [1, 3, 2.5], [2, 3, 1.5]]}),
-                        encoding="utf-8")
-        assert main([command, str(path)]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            f"dmdgp: error: {path}: vertex count 1000000000000 exceeds the limit of 1048576"
-        ]
 
-    def test_short_violation_listing_is_whole(self, tmp_path, capsys):
-        inst, _ = demo7_instance()
-        edges = dict(inst.edges)
-        edges[(1, 6)] = 6.5
-        path = tmp_path / "ceiling.json"
-        path.write_text(serialize_instance(DmdgpInstance(7, edges)), encoding="utf-8")
-        assert main(["solve", str(path)]) == EXIT_DATA
-        assert capsys.readouterr().err.splitlines() == [
-            f"dmdgp: error: {path}: instance fails validation:",
-            "  weight-ceiling: weight 6.5 on {1,6} exceeds 6.0 A",
-        ]
-
-
+@with_moved_tests
 class TestMetrics:
     def test_published_pair(self, capsys):
         a = str(data_file("santiago_std_1call.csv"))
@@ -724,51 +571,8 @@ class TestMetrics:
         assert out.startswith("metric,value")
         assert "tv_distance,0.14" in out
 
-    def test_marked_listing_every_outcome_is_usage_error(self, capsys):
-        a = str(data_file("santiago_std_1call.csv"))
-        b = str(data_file("simulator_std_1call.csv"))
-        assert main(["metrics", a, b, "--marked", "0,1,2,3,4,5,6,7"]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "dmdgp: error: marked set must be a proper subset of the outcomes"
-        ]
 
-    @pytest.mark.parametrize("marked, message", [
-        ("9", "marked indices must lie in 0..7"),
-        ("-1", "marked indices must lie in 0..7"),
-        ("12345678901234567890123", "marked indices must lie in 0..7"),
-        (",", "marked set must not be empty"),
-        ("", "marked set must not be empty"),
-        ("abc", "bad marked outcome 'abc'"),
-    ])
-    def test_bad_marked_set_is_usage_error(self, capsys, marked, message):
-        a = str(data_file("santiago_std_1call.csv"))
-        b = str(data_file("simulator_std_1call.csv"))
-        assert main(["metrics", a, b, "--marked", marked]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [f"dmdgp: error: {message}"]
-
-    def test_distributions_of_different_sizes_are_data_error(self, tmp_path, capsys):
-        paths = []
-        for size in (2, 4):
-            path = tmp_path / f"uniform{size}.csv"
-            path.write_text(save_distribution_csv(np.full(size, 1 / size)), encoding="utf-8")
-            paths.append(str(path))
-        assert main(["metrics", *paths]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["dmdgp: error: distribution sizes differ: 2 vs 4"]
-
-    def test_malformed_csv_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("outcome,probability\n000,0.5\n00x,0.5\n", encoding="utf-8")
-        good = str(data_file("simulator_std_1call.csv"))
-        assert main(["metrics", str(bad), good]) == EXIT_DATA
-        assert "row 3" in capsys.readouterr().err
-
-
+@with_moved_tests
 class TestOracleScan:
     def test_demo_scan(self, demo_path, capsys):
         assert main(["oracle-scan", demo_path]) == EXIT_OK
@@ -780,56 +584,8 @@ class TestOracleScan:
             if parts and parts[0].isdigit():
                 assert 0.0 <= float(parts[3]) <= 1.0
 
-    def test_hypothesis_violation_is_usage_error(self, demo_path):
-        assert main(["oracle-scan", demo_path, "--delta", "0.6",
-                     "--epsilon", "0.5"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--delta", "nan"], "dmdgp: error: delta must be positive, got nan"),
-        (["--epsilon", "1e-17"],
-         "dmdgp: error: epsilon must lie in (0, 1) with 1 - epsilon < 1 in float64, got 1e-17"),
-        (["--delta", "1e-320"],
-         "dmdgp: error: delta = 1e-320 is too small: delta / p1 underflows to 0 at n = 7"),
-    ])
-    def test_bad_threshold_is_usage_error(self, demo_path, capsys, flags, message):
-        assert main(["oracle-scan", demo_path, *flags]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [message]
-
-    # SHA-256 of the stdout: every candidate's penalty, normalized value and bit
-    @pytest.mark.parametrize("flags, digest", [
-        ([], "c4d844911c497a26cc558d857b6ff74af5a6bfa0f848cd8532ec6c4fc6b399ae"),
-        (["--delta", "1e-4", "--epsilon", "0.9"],
-         "7bc2538dd7e88af8118bf6d6534feff1e58a0d81d71b48e1e40a7b5f77f14c4f"),
-    ])
-    def test_demo_output_is_pinned(self, capsys, flags, digest):
-        assert main(["oracle-scan", str(data_file("demo7.json")), *flags]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("n, seed, p, digest", [
-        (10, 1, "0", "44caff94cdd4d9274f82af6ef030152118442485f64ac7618fb740b4dbbbf3ed"),
-        (10, 1, "0.5", "8168d03f9493eda062ed62abb4b581a0ed6273cd9b48d761f77395e3913abaed"),
-        (10, 1, "1", "7c3f9fad237937d8c34dc14e0c9fdf36b1810dd26cca2d5df8161e6604616c0c"),
-        (14, 2, "0.5", "9ea949d0bcc7bf11b25d26c94284d704c36a1ceade9ae43df43d2892ce25e10e"),
-    ])
-    def test_generated_output_is_pinned(self, tmp_path, capsys, n, seed, p, digest):
-        path = str(tmp_path / "inst.json")
-        assert main(["gen", "--n", str(n), "--seed", str(seed), "--long-edge-prob", p,
-                     "--out", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["oracle-scan", path]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    def test_over_scan_cap_prints_no_rows(self, n30_path, capsys):
-        assert main(["oracle-scan", n30_path]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "dmdgp: error: search space 134217728 exceeds scan cap 16777216"
-        ]
-
-
+@with_moved_tests
 class TestDistributionCsv:
     def test_round_trip(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
@@ -855,24 +611,6 @@ class TestDistributionCsv:
     def test_missing_outcomes(self):
         with pytest.raises(ParseError, match="missing"):
             load_distribution_csv("outcome,probability\n00,0.5\n01,0.5\n")
-
-    def test_missing_outcomes_message_is_bounded(self, tmp_path, capsys):
-        # 2^64 outcomes, one of them present: the message counts the rest
-        path = tmp_path / "wide.csv"
-        path.write_text(f"outcome,probability\n{'0' * 64},1\n", encoding="utf-8")
-        assert main(["metrics", str(path), str(path)]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            f"dmdgp: error: {path}: missing {2**64 - 1} of {2**64} outcomes, first "
-            + ", ".join(int_to_bits(k, 64) for k in (1, 2, 3))
-        ]
-
-    def test_unknown_flag_is_usage_error(self):
-        assert main(["solve", "--frobnicate"]) == EXIT_USAGE
-
-    def test_help_exits_zero(self):
-        assert main(["--help"]) == EXIT_OK
 
 
 class TestBundledDemoInstance:

@@ -257,6 +257,13 @@ class TestPenalty:
         inst, gt = generate(9, 14, 0.7)
         assert penalty(gt.conformation, inst) < 1e-10
 
+    def test_conformation_of_another_chain_rejected(self):
+        (inst10, gt10), (inst12, gt12) = generate(10, 1, 0.5), generate(12, 1, 0.5)
+        with pytest.raises(ValueError, match="^conformation has n=12, instance has n=10$"):
+            penalty(gt12.conformation, inst10)
+        with pytest.raises(ValueError, match="^conformation has n=10, instance has n=12$"):
+            penalty(gt10.conformation, inst12)
+
     def test_single_violated_edge_contribution(self):
         from dmdgp import Conformation
 

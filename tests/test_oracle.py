@@ -116,6 +116,13 @@ class TestEval:
         with pytest.raises(ValueError, match="n=8"):
             oracle_eval(inst, extract_internal(inst), oracle_params(8), 0)
 
+    def test_internal_coordinates_of_another_chain_rejected(self):
+        inst10, inst12 = generate(10, 1, 0.5)[0], generate(12, 1, 0.5)[0]
+        with pytest.raises(ValueError, match="^internal coordinates built for n=12, instance has n=10$"):
+            oracle_eval(inst10, extract_internal(inst12), oracle_params(10), 0)
+        with pytest.raises(ValueError, match="^internal coordinates built for n=10, instance has n=12$"):
+            oracle_eval(inst12, extract_internal(inst10), oracle_params(12), 0)
+
 
 class TestMarkedSet:
     def test_internal_coordinates_of_another_chain_rejected(self):
