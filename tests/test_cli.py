@@ -57,9 +57,8 @@ def demo_path(tmp_path):
 
 # Tests whose argv, inputs and expected exit code, stderr and output are now
 # rows of the contract table (tests/test_cli_contract.py), under the node ids
-# they had here: class, test, then parameter id.  The ids are kept, so a run
-# still reports each check under the name it has always had; each checks its
-# rows in-process, in this module's own runner directory.
+# they had here: class, test, then parameter id.  Each id still runs: it
+# checks its rows in-process, in this module's own runner directory.
 MOVED = {
     "TestGen": {
         "test_n_below_four_is_usage_error": "gen-n3",

@@ -37,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmdgp
-from dmdgp import DmdgpInstance, cli, data_file, demo7_instance, generate, serialize_instance
+from dmdgp import DmdgpInstance, cli, data_file, demo7_instance, serialize_instance
 
 # The exit codes are the contract, so they are written here, not read from `cli`.
 OK, NO_SOLUTION, IO, USAGE, DATA = 0, 1, 2, 64, 65
@@ -101,12 +101,6 @@ def _demo_with_d16(weight: float) -> str:
     return serialize_instance(DmdgpInstance(7, {**dict(inst.edges), (1, 6): weight}))
 
 
-def _gen6_with_string_coordinate() -> str:
-    doc = json.loads(serialize_instance(*generate(6, 1, 0.5)))
-    doc["ground_truth"]["coords"][0][0] = "x"
-    return json.dumps(doc)
-
-
 COORDINATES = {"x": "x", "list": [1], "null": None, "1e400": 10**400,
                "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
 D16 = dict(demo7_instance()[0].edges)[(1, 6)]
@@ -128,7 +122,6 @@ DOCUMENTS = {
     "unrealizable.json": json.dumps({"n": 4, "edges": [
         [1, 2, 1.5], [1, 3, 2.5], [1, 4, 5.9], [2, 3, 1.5], [2, 4, 1.5], [3, 4, 1.5]]}),
     **{f"coords-{key}.json": _demo_with_coordinate(value) for key, value in COORDINATES.items()},
-    "coords-gen6.json": _gen6_with_string_coordinate(),
     "ceiling.json": _demo_with_d16(6.5),
     # no candidate meets the raised d(1,6)
     "broken.json": _demo_with_d16(D16 + 1.0),
@@ -149,8 +142,8 @@ def fails(id: str, argv: tuple, code: int, message: str) -> Row:
     return Row(id, argv, code, (f"dmdgp: error: {message}",))
 
 
-def coords_error(name: str, n: int = 7) -> str:
-    return f"{name}: ground_truth.coords must be an array of {n} [x, y, z] rows of numbers"
+def coords_error(name: str) -> str:
+    return f"{name}: ground_truth.coords must be an array of 7 [x, y, z] rows of numbers"
 
 
 ROWS = [
@@ -207,8 +200,6 @@ ROWS = [
          "  weight-ceiling: weight 6.5 on {1,6} exceeds 6.0 A")),
     *(fails(f"solve-coords-{key}", ("solve", f"coords-{key}.json"), DATA,
             coords_error(f"coords-{key}.json")) for key in COORDINATES),
-    fails("solve-coords-gen6", ("solve", "coords-gen6.json"), DATA,
-          coords_error("coords-gen6.json", 6)),
 
     # grover
     Row("grover-demo7-seed5", ("grover", DEMO, "--seed", "5"),
@@ -401,18 +392,16 @@ def check_in_process(row: Row, workdir: Path, monkeypatch) -> None:
 
 
 @pytest.fixture(scope="module")
-def child_results(request, tmp_path_factory):
-    """(workdir, {row id: result}) of every selected row's child process,
-    two at a time: first the `gen` runs of their inputs, then the rows."""
+def child_results(tmp_path_factory):
+    """(workdir, {row id: result}) of every row's child process, two at a
+    time: first the `gen` runs of their inputs, then the rows."""
     workdir = _workdir(tmp_path_factory, "child")
-    rows = [item.callspec.params["row"] for item in request.session.items
-            if getattr(item, "originalname", None) == "test_child_process"]
-    gens = {arg for row in rows for arg in row.argv if isinstance(arg, Gen)}
+    gens = {arg for row in ROWS for arg in row.argv if isinstance(arg, Gen)}
     with ThreadPoolExecutor(2) as pool:
         for gen, (code, _, err) in zip(gens, pool.map(lambda g: run_child(g.argv, workdir), gens)):
             assert code == OK, f"{gen.name}: {err}"
-        results = pool.map(lambda row: run_child(row.argv, workdir), rows)
-        return workdir, dict(zip((row.id for row in rows), results))
+        results = pool.map(lambda row: run_child(row.argv, workdir), ROWS)
+        return workdir, {row.id: result for row, result in zip(ROWS, results)}
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
