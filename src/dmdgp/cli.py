@@ -455,24 +455,24 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
             f"search space {N} exceeds grover's limit of {GROVER_MAX_OUTCOMES} outcomes "
             f"(~{N * GROVER_BYTES_PER_OUTCOME / 1e6:.0f} MB of memory and "
             f"~{N * GROVER_STDOUT_BYTES_PER_OUTCOME / 1e6:.0f} MB of stdout)")
-    marked = tuple(bp.branch_and_prune(inst, internal).index.tolist())
-    if len(marked) == N:
+    index = bp.branch_and_prune(inst, internal).index
+    if index.size == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
-    plan = grover.iteration_count(N, len(marked), mode=iter_mode)
+    plan = grover.iteration_count(N, index.size, mode=iter_mode)
     k = plan.k if iters is None else iters
-    ideal = grover.grover_distribution(N, marked, k)
+    ideal = grover.grover_distribution(N, index, k)
     counts = grover.sample(grover.mix_uniform(ideal, noise), shots, seed)
-    quality = metrics.compare(counts.frequencies(), ideal.probabilities, marked)
+    quality = metrics.compare(counts.frequencies(), ideal.probabilities, index)
     return RunReport(
         n=inst.n,
         n_edges=len(inst.edges),
         N=N,
         symmetry_vertices=bp.symmetry_set(inst).vertices,
-        marked=marked,
+        marked=tuple(index.tolist()),
         plan=plan,
         iters=k,
         ideal=ideal,
-        closed_form=grover.success_probability(N, len(marked), k),
+        closed_form=grover.success_probability(N, index.size, k),
         noise=noise,
         counts=counts,
         seed=seed,

@@ -17,11 +17,17 @@ to all N amplitudes in place, O(kN).
 Everything here is pure: planning the iteration count, evolving the
 state, converting to outcome probabilities, seeded multinomial
 sampling, and a crude uniform-noise mix for degraded inputs.
+
+The constructors of `Distribution` and `ShotCounts` copy what a caller
+hands them.  The N-length arrays this module makes itself go through
+`_owned_distribution` and `_owned_counts` instead: the same checks, then
+frozen in place, so each stage allocates its output once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,7 +63,20 @@ class Statevector:
         return float(np.sqrt(self.amplitudes @ self.amplitudes))
 
     def probabilities(self) -> "Distribution":
-        return Distribution(np.square(self.amplitudes))
+        return _owned_distribution(np.square(self.amplitudes))
+
+
+def _check_probabilities(probs: np.ndarray) -> float:
+    """Raise unless `probs` is a normalized 1-D float vector; return its minimum."""
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-D array")
+    low = probs.min()
+    if not low >= -SUM_ATOL:  # NaN fails too
+        raise ValueError("probabilities must be nonnegative")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= SUM_ATOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return low
 
 
 @dataclass(frozen=True)
@@ -68,13 +87,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-D array")
-        if not (probs >= -SUM_ATOL).all():  # NaN fails too
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= SUM_ATOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_probabilities(probs)
         # np.maximum returns a fresh array: owned here, so made read-only, not copied
         clipped = np.maximum(probs, 0.0)
         clipped.flags.writeable = False
@@ -106,15 +119,47 @@ class ShotCounts:
     shots: int
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise ValueError("counts must be a 1-D array of nonnegative integers")
-        if int(counts.sum()) != self.shots:
-            raise ValueError(f"counts sum to {int(counts.sum())}, expected {self.shots}")
-        object.__setattr__(self, "counts", _frozen(counts))
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind in "iu":  # floats and bools fail the check, not truncate
+            counts = counts.astype(np.int64)  # a copy, owned here, so made read-only
+        _check_counts(counts, self.shots)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots
+
+
+def _check_counts(counts: np.ndarray, shots: int) -> None:
+    """Raise unless `counts` is 1-D, int64, nonnegative and sums to `shots`."""
+    if (counts.dtype != np.int64 or counts.ndim != 1
+            or (counts.size and counts.min() < 0)):
+        raise ValueError("counts must be a 1-D array of nonnegative integers")
+    total = int(counts.sum())
+    if total != shots:
+        raise ValueError(f"counts sum to {total}, expected {shots}")
+
+
+def _owned_distribution(probs: np.ndarray) -> Distribution:
+    """A `Distribution` over the float vector this module has just made:
+    the constructor's checks, then clipped and frozen in place, not copied."""
+    if _check_probabilities(probs) < 0:
+        np.maximum(probs, 0.0, out=probs)
+    probs.flags.writeable = False
+    dist = object.__new__(Distribution)
+    object.__setattr__(dist, "probabilities", probs)
+    return dist
+
+
+def _owned_counts(counts: np.ndarray, shots: int) -> ShotCounts:
+    """`ShotCounts` over the int64 counts this module has just drawn:
+    the constructor's checks, then frozen in place, not copied."""
+    _check_counts(counts, shots)
+    counts.flags.writeable = False
+    out = object.__new__(ShotCounts)
+    object.__setattr__(out, "counts", counts)
+    object.__setattr__(out, "shots", shots)
+    return out
 
 
 def _check_size(N: int) -> None:
@@ -158,16 +203,25 @@ def uniform_state(N: int) -> Statevector:
     return Statevector(_uniform_amplitudes(N))
 
 
+def _index(m: object) -> int:
+    """`m` as a Python int; a bool, a float or a string is no index."""
+    if isinstance(m, bool):
+        raise TypeError
+    return operator.index(m)
+
+
 def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
     """The distinct marked indices, sorted: a non-empty set in 0..N-1."""
     out_of_range = f"marked indices must lie in 0..{N - 1}"
     try:
-        if isinstance(marked, np.ndarray):
+        if isinstance(marked, np.ndarray) and marked.dtype.kind in "iu":
             idx = np.unique(marked.astype(np.intp, copy=False))
         else:
-            idx = np.unique(np.fromiter((int(m) for m in marked), dtype=np.intp))
+            idx = np.unique(np.fromiter(map(_index, marked), dtype=np.intp))
     except OverflowError:  # an index that fits no intp
         raise ValueError(out_of_range) from None
+    except TypeError:
+        raise ValueError("marked indices must be integers") from None
     if idx.size == 0:
         raise ValueError("marked set must not be empty")
     if idx[0] < 0 or idx[-1] >= N:
@@ -219,7 +273,7 @@ def grover_distribution(N: int, marked: Iterable[int], iters: int) -> Distributi
         a, b = 2.0 * mean - a, 2.0 * mean - b
     probs = np.full(N, b * b)
     probs[idx] = a * a
-    return Distribution(probs)
+    return _owned_distribution(probs)
 
 
 def success_probability(N: int, M: int, iters: int) -> float:
@@ -233,17 +287,21 @@ def success_probability(N: int, M: int, iters: int) -> float:
 
 def sample(dist: Distribution, shots: int, seed: int) -> ShotCounts:
     """Seeded multinomial draw of `shots` measurements."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
+    if shots >= 1 << 63:
+        raise ValueError(f"shots must be below 2^63, got {shots}")
     probs = dist.probabilities / dist.probabilities.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return ShotCounts(counts=counts, shots=shots)
+    return _owned_counts(rng.multinomial(shots, probs), shots)
 
 
 def mix_uniform(dist: Distribution, lam: float) -> Distribution:
     """(1 - lam) * dist + lam * uniform."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    N = dist.n_outcomes
-    return Distribution((1.0 - lam) * dist.probabilities + lam / N)
+    probs = (1.0 - lam) * dist.probabilities
+    probs += lam / dist.n_outcomes
+    return _owned_distribution(probs)

@@ -3,6 +3,11 @@
 All comparison functions accept either a `Distribution` or any raw
 nonnegative vector, so tabulated device data (rounded to a few decimals
 and not exactly normalized) flows through unmodified.
+
+Each measure has one kernel, which works in a caller's N-length scratch
+array; `compare` hands one scratch array to all three in turn.  Every
+sum is one `.sum()` over a full-length array, so its pairwise order,
+and every digit of the result, is that of the plain numpy expression.
 """
 
 from __future__ import annotations
@@ -38,22 +43,52 @@ def _as_pair(p: ProbVector, q: ProbVector) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
-def _total_variation(pa: np.ndarray, qa: np.ndarray) -> float:
-    return 0.5 * float(np.abs(pa - qa).sum())
+#: Entries per slice of sqrt(q) in `_hellinger`: 64 KiB of float64, below
+#: malloc's mmap threshold, so each slice reuses heap pages.
+_HELLINGER_SLICE = 8192
 
 
-def _hellinger(pa: np.ndarray, qa: np.ndarray) -> float:
-    return math.sqrt(0.5 * float(((np.sqrt(pa) - np.sqrt(qa)) ** 2).sum()))
+def _total_variation(pa: np.ndarray, qa: np.ndarray, out: np.ndarray) -> float:
+    """1/2 sum |p - q|, with |p - q| built in `out`."""
+    np.subtract(pa, qa, out=out)
+    np.abs(out, out=out)
+    return 0.5 * float(out.sum())
+
+
+def _hellinger(pa: np.ndarray, qa: np.ndarray, out: np.ndarray) -> float:
+    """sqrt(1/2 sum (sqrt(p) - sqrt(q))^2), with the squares built in `out`."""
+    np.sqrt(pa, out=out)
+    for start in range(0, out.size, _HELLINGER_SLICE):
+        part = slice(start, start + _HELLINGER_SLICE)
+        out[part] -= np.sqrt(qa[part])
+    np.square(out, out=out)
+    return math.sqrt(0.5 * float(out.sum()))
+
+
+def _selectivity(probs: np.ndarray, idx: np.ndarray, out: np.ndarray) -> float:
+    """p(marked) over the largest unmarked entry, found in a copy of `probs`
+    in `out` whose marked entries are -inf."""
+    if idx.size == probs.size:
+        raise ValueError("marked set must be a proper subset of the outcomes")
+    p_s = float(probs[idx].sum())
+    np.copyto(out, probs)
+    out[idx] = -math.inf
+    p_ns = float(out.max())
+    if p_ns == 0.0:
+        return math.inf
+    return p_s / p_ns
 
 
 def total_variation(p: ProbVector, q: ProbVector) -> float:
     """d = 1/2 sum |p_x - q_x|."""
-    return _total_variation(*_as_pair(p, q))
+    pa, qa = _as_pair(p, q)
+    return _total_variation(pa, qa, np.empty(pa.size))
 
 
 def hellinger(p: ProbVector, q: ProbVector) -> float:
     """h with h^2 = 1/2 sum (sqrt(p_x) - sqrt(q_x))^2."""
-    return _hellinger(*_as_pair(p, q))
+    pa, qa = _as_pair(p, q)
+    return _hellinger(pa, qa, np.empty(pa.size))
 
 
 def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
@@ -62,19 +97,7 @@ def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
     Returns inf when no unsearched outcome carries any probability.
     """
     probs = _as_probs(dist)
-    return _selectivity(probs, _marked_array(probs.size, marked))
-
-
-def _selectivity(probs: np.ndarray, idx: np.ndarray) -> float:
-    if idx.size == probs.size:
-        raise ValueError("marked set must be a proper subset of the outcomes")
-    p_s = float(probs[idx].sum())
-    mask = np.ones(probs.size, dtype=bool)
-    mask[idx] = False
-    p_ns = float(probs[mask].max())
-    if p_ns == 0.0:
-        return math.inf
-    return p_s / p_ns
+    return _selectivity(probs, _marked_array(probs.size, marked), np.empty(probs.size))
 
 
 @dataclass(frozen=True)
@@ -93,13 +116,14 @@ def compare(p: ProbVector, q: ProbVector,
             marked: Iterable[int] | None = None) -> MetricsReport:
     """Full report for p versus q; selectivity/success are computed on p."""
     pa, qa = _as_pair(p, q)
-    d = _total_variation(pa, qa)
-    h = _hellinger(pa, qa)
+    scratch = np.empty(pa.size)
+    d = _total_variation(pa, qa, scratch)
+    h = _hellinger(pa, qa, scratch)
     sel = None
     p_s = None
     if marked is not None:
         idx = _marked_array(pa.size, marked)
-        sel = _selectivity(pa, idx)
+        sel = _selectivity(pa, idx, scratch)
         p_s = float(pa[idx].sum())
     return MetricsReport(
         tv_distance=d,

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dmdgp import (
     Distribution,
+    ShotCounts,
     grover_distribution,
     grover_state,
     iteration_count,
@@ -125,6 +127,27 @@ class TestDistribution:
         with pytest.raises(ValueError, match=r"^marked indices must lie in 0\.\.7$"):
             dist.mass(outcomes)
 
+    @pytest.mark.parametrize("marked", [
+        [2.5], [2.0], [True], [np.float64(2)], ["2"],
+        np.array([2.5]), np.array([2.0]), np.array([True, False]),
+    ], ids=["float", "integral-float", "bool", "numpy-float", "str",
+            "float-array", "integral-float-array", "bool-array"])
+    def test_a_marked_index_that_is_no_integer_is_rejected(self, marked):
+        dist = grover_distribution(8, [1], 1)
+        for call in (lambda: grover_distribution(8, marked, 1), lambda: dist.mass(marked)):
+            with pytest.raises(ValueError, match="^marked indices must be integers$"):
+                call()
+
+    @pytest.mark.parametrize("marked", [
+        [2, 5], (np.int64(2), np.uint8(5)), np.array([5, 2]),
+        np.array([2, 5], dtype=np.uint16), np.array([2, 5], dtype=object),
+    ], ids=["ints", "numpy-ints", "int-array", "uint-array", "object-array"])
+    def test_integer_marked_indices_pass(self, marked):
+        dist = grover_distribution(8, marked, 1)
+        expected = grover_distribution(8, {2, 5}, 1)
+        assert dist.probabilities.tobytes() == expected.probabilities.tobytes()
+        assert dist.mass(marked) == dist.mass([2, 5])
+
     def test_mass_counts_a_repeated_outcome_once(self):
         dist = grover_distribution(8, [1], 1)
         assert dist.mass([1, 1, 2]) == dist.mass([2, 1])
@@ -173,6 +196,25 @@ class TestSample:
         dist = Distribution(np.full(4, 0.25))
         with pytest.raises(ValueError):
             sample(dist, 0, seed=0)
+
+    @pytest.mark.parametrize("shots, message", [
+        (10.5, "shots must be an integer, got 10.5"),
+        (10.0, "shots must be an integer, got 10.0"),
+        (True, "shots must be an integer, got True"),
+        ("10", "shots must be an integer, got '10'"),
+        (-3, "shots must be positive, got -3"),
+        (2**63, f"shots must be below 2^63, got {2**63}"),
+        (np.uint64(2**63), f"shots must be below 2^63, got {2**63}"),
+    ])
+    def test_shots_are_checked_before_the_draw(self, shots, message):
+        dist = Distribution(np.full(4, 0.25))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(dist, shots, seed=0)
+
+    def test_the_largest_shot_count_draws(self):
+        counts = sample(Distribution(np.full(4, 0.25)), 2**63 - 1, seed=0)
+        assert int(counts.counts.sum()) == 2**63 - 1
+        assert sample(Distribution(np.full(4, 0.25)), np.int64(10), seed=0).shots == 10
 
 
 class TestMixUniform:
@@ -223,6 +265,22 @@ class TestTypes:
 
         with pytest.raises(ValueError, match=r"^state norm\^2 = nan is not 1$"):
             Statevector(np.array([math.nan, 1.0]))
+
+    @pytest.mark.parametrize("counts", [
+        np.array([1.9, 0.9]), np.array([1.0, 0.0]), np.array([True, False]), [1.0, 0.0],
+    ], ids=["fractional", "integral-float", "bool", "float-list"])
+    def test_shot_counts_reject_counts_that_are_no_integers(self, counts):
+        with pytest.raises(ValueError,
+                           match="^counts must be a 1-D array of nonnegative integers$"):
+            ShotCounts(counts, 1)
+
+    def test_shot_counts_copy_integer_counts(self):
+        counts = np.array([1, 0], dtype=np.uint8)
+        shot_counts = ShotCounts(counts, 1)
+        counts[:] = 0
+        assert shot_counts.counts.tolist() == [1, 0]
+        assert shot_counts.counts.dtype == np.int64
+        assert ShotCounts([1, 0], 1).counts.tolist() == [1, 0]
 
     def test_distribution_rejects_nan(self):
         for probs in ([math.nan, 1.0], [0.0, math.nan]):

@@ -105,6 +105,13 @@ class TestSelectivity:
         with pytest.raises(ValueError):
             selectivity(np.full(4, 0.25), set())
 
+    def test_a_marked_index_that_is_no_integer_is_rejected(self):
+        u = np.full(8, 1 / 8)
+        for marked in ([2.99], [True], np.array([2.0])):
+            for run in (lambda: selectivity(u, marked), lambda: compare(u, u, marked)):
+                with pytest.raises(ValueError, match="^marked indices must be integers$"):
+                    run()
+
     def test_index_beyond_intp_is_out_of_range(self):
         # the message of grover_distribution(8, [10**30], 1) too
         for run in (lambda m: selectivity(np.full(8, 1 / 8), m),
