@@ -11,7 +11,7 @@ reference data from public quantum-device experiments.
 
 from importlib import resources
 
-from .bitstrings import bits_to_int, complement, int_to_bits
+from .bitstrings import bits_to_int, int_to_bits
 from .bp import (
     NoSolutionError,
     Solution,
@@ -52,7 +52,6 @@ from .instance import (
     generate,
     generate_from_topology,
     parse_document,
-    parse_instance,
     random_internal_coords,
     serialize_instance,
     validate,

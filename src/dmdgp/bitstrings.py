@@ -44,11 +44,6 @@ def bits_to_int(bits: str) -> int:
     return int(bits, 2)
 
 
-def complement(bits: str) -> str:
-    """Flip every bit."""
-    return "".join("1" if c == "0" else "0" for c in bits)
-
-
 def check_bits(bits: str, width: int) -> str:
     if len(bits) != width or any(c not in "01" for c in bits):
         raise ValueError(f"expected a {width}-bit binary string, got {bits!r}")

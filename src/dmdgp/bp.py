@@ -12,13 +12,14 @@ reflections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .bitstrings import bits_to_int, int_to_bits
-from .geometry import BLOCK_LEVELS, Conformation, InternalCoords, _sign_blocks, edge_arrays
+from .geometry import Conformation, InternalCoords, _sign_blocks, edge_arrays
 from .instance import DmdgpInstance
 from .oracle import DEFAULT_DELTA
 
@@ -66,23 +67,19 @@ class Solution:
 class SolutionSet:
     """Walk rows, ascending: the read-only index (K,), int64 (dtype object
     past 63 levels), penalties (K,), and read-only points (K, n, 3) that
-    the walk's `blocks` make on first read, z negated in the second half
-    if `mirrored` (the first half's blocks reversed)."""
+    `_walk` makes on first read: a copy of mode "first"'s row, or mode
+    "all"'s walk of the whole tree."""
 
     index: np.ndarray
     penalties: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-    mirrored: bool
+    _walk: Callable[[], np.ndarray] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.index)
 
     @cached_property
     def points(self) -> np.ndarray:
-        points = np.concatenate(self.blocks)
-        if self.mirrored:
-            z = points[len(points) >> 1:, 3:, 2]
-            np.negative(z, out=z)
+        points = self._walk()
         points.flags.writeable = False
         return points
 
@@ -91,12 +88,6 @@ class SolutionSet:
         """The rows as `Solution`s, built on each read."""
         rows = zip(self.index.tolist(), self.points, self.penalties.tolist())
         return tuple(Solution(k, Conformation(pts), g) for k, pts, g in rows)
-
-    def bit_strings(self) -> list[str]:
-        return [int_to_bits(k, self.blocks[0].shape[1] - 3) for k in self.index.tolist()]
-
-    def indices(self) -> list[int]:
-        return self.index.tolist()
 
 
 def symmetry_set(inst: DmdgpInstance) -> SymmetrySet:
@@ -126,6 +117,13 @@ def expand_symmetry(bits: str, sym: SymmetrySet) -> set[str]:
     return {int_to_bits(k ^ f, width) for f in flips}
 
 
+def _leaf_points(internal: InternalCoords, edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 delta: float) -> np.ndarray:
+    """The points of every leaf with penalty below delta: the blocks of the
+    whole-tree walk, joined."""
+    return np.concatenate([block for _, block, _ in _sign_blocks(internal, edges, delta)])
+
+
 def branch_and_prune(
     inst: DmdgpInstance,
     internal: InternalCoords,
@@ -142,13 +140,17 @@ def branch_and_prune(
     plane z = 0 of the fixed root x1..x3 negates z at vertices 4..n, flips
     every sign bit (leaf k <-> 2^(n-3) - 1 - k) and keeps every distance.
     So the walk runs under the prefix "0", vertex 4's 0 subtree, which holds
-    the first leaf, and mode "all" appends the mirror rows in reverse order.
-    Negation is exact and the walk's arithmetic commutes with it, so they
-    are the rows a walk of the 1 subtree computes, bit for bit, except
-    that a coordinate computed as exactly zero may come out as 0.0 in both
-    subtrees.  A row with such a coordinate (a planar torsion puts the
-    chain in the plane z = 0) sends mode "all" through the whole tree, the
-    walk under the empty prefix.
+    the first leaf, and mode "all" appends the mirror leaves' index and
+    penalties in reverse order.  Negation is exact and the walk's arithmetic
+    commutes with it; a coordinate computed as exactly zero may come out as
+    0.0 in both subtrees, but a signed zero in a coordinate difference
+    cancels or adds nothing.  So the mirror rows' index and penalties are
+    those a walk of the 1 subtree computes, bit for bit, planar chains
+    included.
+
+    Mode "first" keeps its row's points.  Mode "all" keeps none:
+    `SolutionSet.points` walks the whole tree, the walk under the empty
+    prefix, on first read.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
@@ -156,30 +158,22 @@ def branch_and_prune(
         raise ValueError(f"delta must be positive, got {delta}")
     if internal.n != inst.n:
         raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
-    limit, cap = (1, FIRST_BLOCK_ROWS) if mode == "first" else (None, 1 << BLOCK_LEVELS)
     edges = edge_arrays(inst)
-
-    def leaves(prefix):  # the walk's blocks under `prefix`, cut to `limit` rows
-        ks, blocks, gs = [], [], []
-        for k, block, g in _sign_blocks(internal, edges, delta, cap, prefix):
-            ks.append(k[:limit])
-            blocks.append(block[:limit])
-            gs.append(g[:limit])
-            if limit:
-                break
-        return ks, blocks, gs
-
-    ks, blocks, gs = leaves("0")
-    mirror = limit is None and all(block[:, 3:].all() for block in blocks)
-    if limit is None and not mirror:
-        ks, blocks, gs = leaves("")
-    if not ks:
-        raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
-    if mirror:  # the 1 subtree: the 0 subtree's blocks reversed, z negated in `points`
+    ks, gs = [], []
+    if mode == "first":
+        for k, block, g in _sign_blocks(internal, edges, delta, FIRST_BLOCK_ROWS, "0"):
+            ks, gs, walk = [k[:1]], [g[:1]], block[:1].copy
+            break
+    else:
+        for k, _, g in _sign_blocks(internal, edges, delta, prefix="0"):
+            ks.append(k)
+            gs.append(g)
         top = (1 << (inst.n - 3)) - 1
         ks += [top - k[::-1] for k in reversed(ks)]
-        blocks += [block[::-1] for block in reversed(blocks)]
         gs += [g[::-1] for g in reversed(gs)]
+        walk = partial(_leaf_points, internal, edges, delta)
+    if not ks:
+        raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
     index = np.concatenate(ks)
     index.flags.writeable = False
-    return SolutionSet(index, np.concatenate(gs), tuple(blocks), mirror)
+    return SolutionSet(index, np.concatenate(gs), walk)

@@ -462,7 +462,7 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     k = plan.k if iters is None else iters
     ideal = grover.grover_distribution(N, index, k)
     counts = grover.sample(grover.mix_uniform(ideal, noise), shots, seed)
-    quality = metrics.compare(counts.frequencies(), ideal.probabilities, index)
+    quality = metrics.compare(counts.frequencies(), ideal, index)
     return RunReport(
         n=inst.n,
         n_edges=len(inst.edges),

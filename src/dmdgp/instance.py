@@ -456,12 +456,6 @@ def _decode_document(text: str) -> tuple[DmdgpInstance, GroundTruth | None]:
     return inst, ground
 
 
-def parse_instance(text: str) -> DmdgpInstance:
-    """Parse an instance document, discarding any ground truth."""
-    inst, _ = parse_document(text)
-    return inst
-
-
 def serialize_instance(inst: DmdgpInstance, ground_truth: GroundTruth | None = None) -> str:
     """Canonical UTF-8/LF document: edges sorted by (u, v), lossless decimals
     (17 significant digits round-trip any double exactly).

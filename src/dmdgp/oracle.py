@@ -37,8 +37,8 @@ from .instance import DmdgpInstance
 DEFAULT_DELTA = 1e-10
 DEFAULT_EPSILON = 0.5
 
-#: Largest search space an exhaustive scan will walk, and the
-#: largest `dmdgp grover` holds as N-length arrays and prints as N rows.
+#: Largest search space an exhaustive scan will walk.  `dmdgp grover`
+#: checks it too, but stops first, at `cli.GROVER_MAX_OUTCOMES` (2^22).
 DEFAULT_SCAN_CAP = 1 << 24
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from dmdgp import (
     DmdgpInstance,
     NoSolutionError,
     branch_and_prune,
-    complement,
     demo7_edges,
     demo7_instance,
     expand_symmetry,
@@ -21,6 +21,11 @@ from dmdgp.bp import SymmetrySet
 from dmdgp.instance import clique_pairs, generate_from_topology
 from dmdgp.oracle import scan
 from reference_geometry import realize
+
+
+def words(sols, width):
+    """The sign words of a solution set's indices, `width` bits each."""
+    return [int_to_bits(k, width) for k in sols.index.tolist()]
 
 
 class TestSymmetrySet:
@@ -58,7 +63,7 @@ class TestExpandSymmetry:
 
     def test_single_vertex_gives_complement_pair(self):
         for bits in ("0000", "1011", "0110"):
-            assert expand_symmetry(bits, SymmetrySet((4,))) == {bits, complement(bits)}
+            assert expand_symmetry(bits, SymmetrySet((4,))) == {bits, int_to_bits(int(bits, 2) ^ 0b1111, 4)}
 
     def test_closure(self):
         sym = SymmetrySet((4, 6, 7))
@@ -75,8 +80,8 @@ class TestBranchAndPrune:
     def test_demo_solutions(self):
         inst, _ = demo7_instance()
         sols = branch_and_prune(inst, extract_internal(inst))
-        assert sols.bit_strings() == ["0100", "0101", "1010", "1011"]
-        assert sols.indices() == [4, 5, 10, 11]
+        assert words(sols, 4) == ["0100", "0101", "1010", "1011"]
+        assert sols.index.tolist() == [4, 5, 10, 11]
 
     def test_clique_only_keeps_every_leaf(self):
         inst, _ = generate(7, 7, 0.0)
@@ -90,7 +95,7 @@ class TestBranchAndPrune:
             first = branch_and_prune(inst, internal, mode="first")
             full = branch_and_prune(inst, internal, mode="all")
             assert len(first) == 1
-            assert first.entries[0].bits in full.bit_strings()
+            assert first.entries[0].bits in words(full, 5)
 
     def test_cardinality_matches_symmetry_prediction(self):
         for n, seed, p in [(6, 0, 0.5), (7, 1, 1.0), (9, 2, 0.3), (10, 3, 0.8)]:
@@ -104,7 +109,7 @@ class TestBranchAndPrune:
             internal = extract_internal(inst)
             sols = branch_and_prune(inst, internal)
             sym = symmetry_set(inst)
-            assert expand_symmetry(sols.entries[0].bits, sym) == set(sols.bit_strings())
+            assert expand_symmetry(sols.entries[0].bits, sym) == set(words(sols, 6))
 
     def test_expanded_strings_realize_to_solutions(self):
         inst, gt = generate(8, 12, 0.9)
@@ -143,13 +148,13 @@ class TestBranchAndPrune:
         # no edge can reach back past the fixed root at n=4, so nothing prunes
         inst, _ = generate(4, 99, 1.0)
         sols = branch_and_prune(inst, extract_internal(inst))
-        assert sols.bit_strings() == ["0", "1"]
+        assert words(sols, 1) == ["0", "1"]
 
     def test_deep_chain_needs_no_recursion(self):
         # one tree level per vertex: a recursive search overflows Python's stack here
         inst, gt = generate(1100, 1, 0.5)
         sols = branch_and_prune(inst, extract_internal(inst))
-        assert gt.bits in sols.bit_strings()
+        assert gt.bits in words(sols, 1097)
 
     @pytest.mark.parametrize("n", [66, 67, 130])
     def test_indices_stay_exact_past_63_levels(self, n):
@@ -163,6 +168,21 @@ class TestBranchAndPrune:
             assert type(k) is int
             assert np.array_equal(pts, realize(internal, int_to_bits(k, n - 3)).points)
         assert np.array_equal(branch_and_prune(inst, internal, mode="first").index, sols.index[:1])
+
+    def test_mode_all_keeps_no_points(self):
+        # clique-only n = 18: 2^15 rows of 8 B index and 8 B penalty; the
+        # points of half of them would add 216 B a row
+        inst, _ = generate(18, 1, 0.0)
+        internal = extract_internal(inst)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sols = branch_and_prune(inst, internal)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sols) == 1 << 15
+        assert retained <= 24 * len(sols)
 
 
 def exhaustive_solution_scan(inst, tol=1e-4):
@@ -184,7 +204,7 @@ class TestSolutionSetStructure:
         assert "0000" in sols
         for bits in sols:
             assert bits[:3] + ("1" if bits[3] == "0" else "0") in sols
-            assert complement(bits) in sols
+            assert int_to_bits(int(bits, 2) ^ 0b1111, 4) in sols
 
     def test_clique_only_n5_topology_all_solutions(self):
         inst, _ = generate_from_topology(clique_pairs(5), "01", seed=3)
@@ -194,7 +214,7 @@ class TestSolutionSetStructure:
         for seed in range(4):
             inst, _ = generate(8, seed, 0.7)
             sols = branch_and_prune(inst, extract_internal(inst))
-            assert exhaustive_solution_scan(inst) == set(sols.bit_strings())
+            assert exhaustive_solution_scan(inst) == set(words(sols, 5))
 
 
 # SHA-256 of the sign-tree walk's output, bit for bit: n = 11 has no level

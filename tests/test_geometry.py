@@ -7,7 +7,6 @@ import pytest
 from dmdgp import (
     InternalCoords,
     b_matrix,
-    complement,
     extract_internal,
     generate,
     penalty,
@@ -105,7 +104,7 @@ class TestRealize:
         ic = chain(9, 8)
         bits = "110100"
         a = realize(ic, bits).points
-        b = realize(ic, complement(bits)).points
+        b = realize(ic, int_to_bits(int(bits, 2) ^ 0b111111, 6)).points
         assert np.allclose(a[:, :2], b[:, :2], atol=1e-9)
         assert np.allclose(a[:, 2], -b[:, 2], atol=1e-9)
 
@@ -293,5 +292,5 @@ class TestPenalty:
         internal = extract_internal(inst)
         for bits in ("000000", "101010", "111111", "010001"):
             a = penalty(realize(internal, bits), inst)
-            b = penalty(realize(internal, complement(bits)), inst)
+            b = penalty(realize(internal, int_to_bits(int(bits, 2) ^ 0b111111, 6)), inst)
             assert abs(a - b) < 1e-9

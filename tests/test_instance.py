@@ -16,7 +16,6 @@ from dmdgp import (
     generate,
     generate_from_topology,
     parse_document,
-    parse_instance,
     penalty,
     random_internal_coords,
     realize,
@@ -134,33 +133,33 @@ class TestParse:
     def test_demo_document_shape(self):
         inst, gt = demo7_instance()
         text = serialize_instance(inst, gt)
-        parsed = parse_instance(text)
+        parsed = parse_document(text)[0]
         assert parsed.n == 7
         assert len(parsed.edges) == 16
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_instance("{not json")
+            parse_document("{not json")
 
     def test_self_loop_document(self):
         with pytest.raises(ParseError, match="self-loop"):
-            parse_instance('{"n": 4, "edges": [[2, 2, 1.0]]}')
+            parse_document('{"n": 4, "edges": [[2, 2, 1.0]]}')
 
     def test_reversed_endpoints_document(self):
         with pytest.raises(ParseError, match="u < v"):
-            parse_instance('{"n": 4, "edges": [[3, 1, 1.0]]}')
+            parse_document('{"n": 4, "edges": [[3, 1, 1.0]]}')
 
     def test_negative_weight_document(self):
         with pytest.raises(ParseError, match="non-positive"):
-            parse_instance('{"n": 4, "edges": [[1, 2, -1.0]]}')
+            parse_document('{"n": 4, "edges": [[1, 2, -1.0]]}')
 
     def test_duplicate_edge_document(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_instance('{"n": 4, "edges": [[1, 2, 1.0], [1, 2, 1.5]]}')
+            parse_document('{"n": 4, "edges": [[1, 2, 1.0], [1, 2, 1.5]]}')
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing required field"):
-            parse_instance('{"n": 4}')
+            parse_document('{"n": 4}')
 
     def test_bad_ground_truth_bits(self):
         inst, gt = generate(5, 1, 0.0)
@@ -204,9 +203,9 @@ class TestParse:
         assert str(raised.value) == message
 
     def test_vertex_limit_is_inclusive(self):
-        assert parse_instance(f'{{"n": {MAX_VERTICES}, "edges": []}}').n == MAX_VERTICES
+        assert parse_document(f'{{"n": {MAX_VERTICES}, "edges": []}}')[0].n == MAX_VERTICES
         with pytest.raises(ParseError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
-            parse_instance(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
+            parse_document(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
 
 
 class TestCollectorPause:
@@ -268,12 +267,12 @@ class TestRoundTrip:
         inst = DmdgpInstance(5, {})
         text = serialize_instance(inst)
         assert text == '{\n  "n": 5,\n  "edges": [\n  ]\n}\n'
-        parsed = parse_instance(text)
+        parsed = parse_document(text)[0]
         assert parsed.n == 5 and len(parsed.edges) == 0
 
     def test_weights_lossless(self):
         inst, _ = generate(8, 17, 0.7)
-        inst2 = parse_instance(serialize_instance(inst))
+        inst2 = parse_document(serialize_instance(inst))[0]
         for key, w in inst.edges.items():
             assert inst2.edges[key] == w  # exact, not approximate
 
