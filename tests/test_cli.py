@@ -154,6 +154,11 @@ MOVED = {
                 (10, 1, "1", "oracle-scan-n10-p1"), (14, 2, "0.5", "oracle-scan-n14-p0.5")]},
         "test_over_scan_cap_prints_no_rows": "oracle-scan-over-scan-cap",
     },
+    "TestDistributionCsv": {
+        "test_missing_outcomes_message_is_bounded": "metrics-wide",
+        "test_unknown_flag_is_usage_error": "solve-unknown-flag",
+        "test_help_exits_zero": "help",
+    },
 }
 
 
@@ -579,6 +584,7 @@ class TestOracleScan:
                 assert 0.0 <= float(parts[3]) <= 1.0
 
 
+@with_moved_tests
 class TestDistributionCsv:
     def test_round_trip(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
