@@ -14,8 +14,11 @@ every outcome, in the library's words, oracle-scan --delta so small that
 delta / p1 underflows to 0), 65 data format error (also text not UTF-8,
 nested too deeply or with an integer over Python's digit limit, a weight
 beyond the doubles) or an instance outside supported limits (search space
-over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, every candidate
-marked, distances no chain realizes).
+over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, solve --mode all
+predicting over SOLVE_MAX_ROWS solutions, every candidate marked, distances no
+chain realizes).  The solve limit reads the predicted count 2^|S|, so a
+non-generic instance, one with more than 2^|S| solutions, is not caught before
+the walk.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ VIOLATIONS_SHOWN = 10
 GROVER_MAX_OUTCOMES = 1 << 22
 GROVER_BYTES_PER_OUTCOME = 300
 GROVER_STDOUT_BYTES_PER_OUTCOME = 80
+
+#: `solve --mode all` keeps an index and a penalty per solution and prints a
+#: row each, ~350 B of peak RSS per solution at 2^19 (clique-only n = 22), so
+#: it stops at a predicted 2^22 solutions, as `grover` stops at 2^22 outcomes.
+SOLVE_MAX_ROWS = 1 << 22
 
 #: `grover_distribution` loops once per iteration, 0.19-0.30 us each on a
 #: 2-core VM (Python 3.11): 2^22 iterations took 0.79-1.25 s.
@@ -387,6 +395,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst, _ = _load_instance(args.instance)
     internal = geometry.extract_internal(inst)
     sym = bp.symmetry_set(inst)
+    if args.mode == "all" and sym.expansion_size > SOLVE_MAX_ROWS:
+        raise CliError(EXIT_DATA, f"predicted solutions 2^|S| = {sym.expansion_size} exceed "
+                                  f"solve's limit of {SOLVE_MAX_ROWS} rows in mode 'all'")
     print(f"instance: n={inst.n}, edges={len(inst.edges)}")
     print(f"symmetry set S = {{{', '.join(str(v) for v in sym.vertices)}}}, "
           f"predicted solutions 2^|S| = {sym.expansion_size}")

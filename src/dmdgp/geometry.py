@@ -228,98 +228,96 @@ def _sign_blocks(internal: InternalCoords,
     over the edges whose later endpoint is v, and a row is dropped once the
     sum reaches delta (a level with no such edge skips both).  The terms
     are nonnegative, so the sum never decreases and no leaf with g < delta
-    is lost.  Each row also carries its sign bits, so an index is exact at
-    any depth: int64 while n - 3 <= 63, Python ints (dtype object) past that.
+    is lost.  Each row also carries its index, the integer its sign bits
+    spell: the 1 child at vertex v adds 2^(n-v), so an index is exact at any
+    depth: int64 while n - 3 <= 63, Python ints (dtype object) past that.
 
     A block of one row is not doubled but extended in place, the common
     case on a deep chain, whose tree is mostly a path: one product gives
     both children's Q, their terms come from one (2, e, 3) difference with
-    the row, and the one child below delta writes its point and sign bit
-    into the row.  The row's g is a Python float, whose sum is the array
-    add's.  The run ends at the leaf, at a dead row, at an edge-free level
-    (which the doubling step takes), or when both children survive: they
-    become a block of two rows.  Its rows are the doubling step's, bit for
-    bit, and a yielded row is never written again.
+    the row, and the one child below delta writes its point into the row
+    and its bit into the row's index, a Python int.  The row's g is a
+    Python float, whose sum is the array add's.  The run ends at the leaf,
+    at a dead row, at an edge-free level (which the doubling step takes), or
+    when both children survive: they become a block of two rows.  Its rows
+    are the doubling step's, bit for bit, and a yielded row is never written
+    again.
 
     `prefix`, a sign word of at most n - 3 bits, limits the walk to the
-    subtree under it: down to its last vertex a row takes the one child it
-    names, Q <- Q B_v^bit.  "0" is vertex 4's 0 subtree, whose mirror is the
-    rest of the tree (see `bp.branch_and_prune`); a full word is `realize`.
-    The walk starts from one row, so the prefix's levels are one-row steps.
+    subtree under it: at a vertex it names, a row's two children are formed
+    as at any other level and only the named one may live.  "0" is vertex
+    4's 0 subtree, whose mirror is the rest of the tree (see
+    `bp.branch_and_prune`); a full word is `realize`.  The walk starts from
+    one row, so the prefix's levels are one-row steps, edge-free ones too.
     """
     n = internal.n
-    # the edges vertex i closes (vertex 3 closes those of the fixed root
-    # too); past the root all of them end at vertex i, read as a basic slice
+    # (u, d^2) of the edges vertex i closes at closes[i]; past the root all
+    # of them end at vertex i.  Vertex 3 closes those of the fixed root too.
     later = np.maximum(edges[1], 2)
     by_later = np.argsort(later, kind="stable")
     u, w, d2 = (a[by_later] for a in edges)
-    starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist() + [later.size]
-    closes = {i: (u[s:e], slice(i - 1, i) if i > 3 else w[s:e], d2[s:e])
-              for i, s, e in zip(range(3, n + 1), starts, starts[1:])}
-    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4],
-    # and of the one child the prefix names at named[v - 4]
+    starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist()
+    closes = [None] * 3 + [(u[s:e], d2[s:e]) for s, e in zip(starts, starts[1:])]
+    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4]
     branches = _branch_matrices(internal)
-    named = [branches[j, int(bit), None] for j, bit in enumerate(prefix)]
-    # a row's sign bits, leftmost first, weigh 2^(n-4) .. 1
-    weights = np.array([1 << j for j in range(n - 4, -1, -1)],
-                       dtype=np.int64 if n - 3 <= 63 else object)
 
     # the fixed root: x1 at the origin, x2 and x3 from B_2 and B_2 B_3
     q2 = b_matrix(2, internal)
     q = q2 @ b_matrix(3, internal)
     block = np.zeros((1, n, 3))
     block[0, 1:3] = q2[:3, 3], q[:3, 3]
-    bits = np.array([list(map(int, prefix.ljust(n - 3, "0")))], dtype=np.uint8)
-    gs = penalties(block, closes[3])  # the root is cut here: no later level need close an edge
-    # (vertex placed last, then Q, points, g and sign bits of the rows)
-    stack = [(3, q[None], block, gs, bits)] if gs[0] < delta else []
+    index = np.zeros(1, dtype=np.int64 if n - 3 <= 63 else object)
+    root = slice(starts[1])
+    gs = penalties(block, (u[root], w[root], d2[root]))  # the root is cut here: no later level need close an edge
+    # (vertex placed last, then Q, points, g and index of the rows)
+    stack = [(3, q[None], block, gs, index)] if gs[0] < delta else []
     while stack:
-        v, qs, block, gs, bits = stack.pop()
+        v, qs, block, gs, index = stack.pop()
         while True:
             if gs.size > cap:
                 h = gs.size >> 1
-                stack.append((v, qs[h:], block[h:], gs[h:], bits[h:]))
-                qs, block, gs, bits = qs[:h], block[:h], gs[:h], bits[:h]
+                stack.append((v, qs[h:], block[h:], gs[h:], index[h:]))
+                qs, block, gs, index = qs[:h], block[:h], gs[:h], index[:h]
             if gs.size == 1 and v < n:  # one row: extend it in place
-                q, row, g, signs = qs[0], block[0], gs.item(), bits[0]
+                q, row, g, k = qs[0], block[0], gs.item(), index.item()
                 live = [0]
                 while v < n and len(live) == 1:
-                    us, _, d2s = closes[v + 1]
-                    if not d2s.size and v - 3 >= len(named):
+                    us, d2s = closes[v + 1]
+                    if not d2s.size and v - 3 >= len(prefix):
                         break  # an edge-free level: the doubling step takes the row
                     v += 1
-                    kids = q @ (named[v - 4] if v - 4 < len(named) else branches[v - 4])
-                    xs, gk = kids[:, :3, 3], [g]
+                    kids = q @ branches[v - 4]
+                    xs, gk = kids[:, :3, 3], [g, g]
                     if d2s.size:  # `penalties` of the children, from their differences with the row
                         diff = row.take(us, axis=0) - xs[:, None]
                         residual = np.einsum("kej,kej->ke", diff, diff) - d2s
                         gk = [g + t for t in np.einsum("ke,ke->k", residual, residual).tolist()]
-                    live = [c for c, t in enumerate(gk) if t < delta]
+                    bit = prefix[v - 4:v - 3]  # the child the prefix names, "" past it
+                    live = [c for c, t in enumerate(gk) if t < delta and bit in "01"[c]]
                     if len(live) == 1:
                         c, = live
                         q, g, row[v - 1] = kids[c], gk[c], xs[c]
-                        if v - 4 >= len(named):  # a named level's bit was set at the root
-                            signs[v - 4] = c
+                        k |= c << (n - v)
                 if not live:  # the row is dead
                     break
                 if len(live) == 2:  # both children: a block of two rows
-                    qs, gs = kids, np.array(gk)
-                    block, bits = block.repeat(2, axis=0), bits.repeat(2, axis=0)
+                    qs, gs, index = kids, np.array(gk), np.array([k, k | 1 << (n - v)], index.dtype)
+                    block = block.repeat(2, axis=0)
                     block[:, v - 1] = xs
-                    bits[1, v - 4] = 1
                     continue
-                qs, gs = q[None], np.array([g])
+                qs, gs, index = q[None], np.array([g]), np.array([k], index.dtype)
             if v == n:
-                yield bits @ weights, block, gs
+                yield index, block, gs
                 break
             v += 1
             qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
-            block, gs, bits = block.repeat(2, axis=0), gs.repeat(2), bits.repeat(2, axis=0)
-            bits[1::2, v - 4] = 1
+            block, gs = block.repeat(2, axis=0), gs.repeat(2)
+            index = np.add.outer(index, np.array([0, 1 << (n - v)], index.dtype)).ravel()
             block[:, v - 1] = qs[:, :3, 3]
-            if not closes[v][2].size:  # an edge-free level keeps g and the rows
+            us, d2s = closes[v]
+            if not d2s.size:  # an edge-free level keeps g and the rows
                 continue
-            gs = gs + penalties(block, closes[v])
+            gs = gs + penalties(block, (us, slice(v - 1, v), d2s))
             kept = (gs < delta).nonzero()[0]
             if kept.size < gs.size:
                 if not kept.size:
@@ -328,7 +326,7 @@ def _sign_blocks(internal: InternalCoords,
                 a, b = kept[0], kept[-1]
                 if kept.size == 2 or b - a < kept.size:
                     kept = slice(a, b + 1, b - a if kept.size == 2 else 1)
-                qs, block, gs, bits = qs[kept], block[kept], gs[kept], bits[kept]
+                qs, block, gs, index = qs[kept], block[kept], gs[kept], index[kept]
 
 
 def edge_arrays(inst: "DmdgpInstance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -494,21 +494,23 @@ def _draw_internal(n: int, rng: random.Random) -> tuple[InternalCoords, str]:
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), draw for draw
     bonds = b0 + (b1 - b0) * _coins(rng, n - 1)
     angles = a0 + (a1 - a0) * _coins(rng, n - 2)
-    cosines = np.empty(n - 3)
-    bits = []
+    # as Python floats, so no draw's arithmetic runs on numpy scalars
+    bond, angle = bonds.tolist(), angles.tolist()
+    cosines, bits = [], []
     for i in range(4, n + 1):
-        local_bonds = (bonds[i - 4], bonds[i - 3], bonds[i - 2])
-        local_angles = (angles[i - 4], angles[i - 3])
+        local_bonds = (bond[i - 4], bond[i - 3], bond[i - 2])
+        local_angles = (angle[i - 4], angle[i - 3])
         while True:
             omega = rng.uniform(0.0, 2.0 * math.pi)
-            if abs(math.sin(omega)) < MIN_TORSION_SINE:
+            sw = math.sin(omega)
+            if abs(sw) < MIN_TORSION_SINE:
                 continue
             cw = math.cos(omega)
             if quad_end_distance(local_bonds, local_angles, cw) < MIN_PAIR_DISTANCE:
                 continue
             break
-        cosines[i - 4] = cw
-        bits.append("0" if math.sin(omega) > 0 else "1")
+        cosines.append(cw)
+        bits.append("0" if sw > 0 else "1")
     return InternalCoords(bonds, angles, cosines), "".join(bits)
 
 

@@ -182,6 +182,12 @@ ROWS = [
     # dead subtrees, a block of rows at a time
     Row("solve-sparse100-first", ("solve", Gen(100, 2, "0.03"), "--mode", "first"),
         out=Sha("d14c268fa54ea977bab1463c389c3840b38661c9e0c43b8f5c8052fb75fc83c4")),
+    # clique-only n = 27 predicts 2^24 solutions: mode "all" stops before the
+    # walk and prints nothing, mode "first" walks to the first solution
+    fails("solve-over-row-limit", ("solve", Gen(27, 1, "0"), "--mode", "all"), DATA,
+          "predicted solutions 2^|S| = 16777216 exceed solve's limit of 4194304 rows in mode 'all'"),
+    Row("solve-over-row-limit-first", ("solve", Gen(27, 1, "0"), "--mode", "first"),
+        out=Sha("4b35d51b4dc680f51f342a9c6cff4426c4e460d61b467349132b2b28b0a02e8d")),
     fails("solve-missing-file", ("solve", "/nonexistent/inst.json"), IO,
           "cannot read /nonexistent/inst.json: [Errno 2] No such file or directory: "
           "'/nonexistent/inst.json'"),
