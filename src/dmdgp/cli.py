@@ -83,10 +83,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; remap to the usage code."""
+    """argparse exits with 2 on bad usage; remap to the usage code, in one line."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 

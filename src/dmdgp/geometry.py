@@ -127,7 +127,7 @@ class Conformation:
         return self.points[i - 1]
 
     def distance(self, u: int, v: int) -> float:
-        return float(np.linalg.norm(self.points[u - 1] - self.points[v - 1]))
+        return float(_distances(self.points, u - 1, v - 1))
 
 
 def b_matrix(i: int, internal: InternalCoords, sign: int = 1) -> np.ndarray:
@@ -224,31 +224,31 @@ def _sign_blocks(internal: InternalCoords,
     are the consecutive ranges of min(cap, 2^(n-3)) leaves, and row j of a
     block is leaf index[0] + j: the oracle scan relies on that.
 
-    Each row carries its partial penalty: placing vertex v adds `penalties`
-    over the edges whose later endpoint is v, and a row is dropped once the
-    sum reaches delta (a level with no such edge skips both).  The terms
-    are nonnegative, so the sum never decreases and no leaf with g < delta
-    is lost.  Each row also carries its index, the integer its sign bits
-    spell: the 1 child at vertex v adds 2^(n-v), so an index is exact at any
-    depth: int64 while n - 3 <= 63, Python ints (dtype object) past that.
+    Each row carries its partial penalty: placing vertex v adds the terms
+    of `_terms`, the one penalty kernel, over the edges whose later endpoint
+    is v, and a row is dropped once the sum reaches delta.  The terms are
+    nonnegative, so the sum never decreases and no leaf with g < delta is
+    lost.  Each row also carries its index, the integer its sign bits spell:
+    the 1 child at vertex v adds 2^(n-v), so an index is exact at any depth:
+    int64 while n - 3 <= 63, Python ints (dtype object) past that.
 
     A block of one row is not doubled but extended in place, the common
     case on a deep chain, whose tree is mostly a path: one product gives
     both children's Q, their terms come from one (2, e, 3) difference with
     the row, and the one child below delta writes its point into the row
     and its bit into the row's index, a Python int.  The row's g is a
-    Python float, whose sum is the array add's.  The run ends at the leaf,
-    at a dead row, at an edge-free level (which the doubling step takes), or
-    when both children survive: they become a block of two rows.  Its rows
-    are the doubling step's, bit for bit, and a yielded row is never written
-    again.
+    Python float, whose sum is the array add's, and a level that closes no
+    edge forms no difference at all, so `realize` costs one product per
+    vertex.  The run ends at the leaf, at a dead row, or when both children
+    survive: they become a block of two rows.  Its rows are the doubling
+    step's, bit for bit, and a yielded row is never written again.
 
     `prefix`, a sign word of at most n - 3 bits, limits the walk to the
     subtree under it: at a vertex it names, a row's two children are formed
     as at any other level and only the named one may live.  "0" is vertex
     4's 0 subtree, whose mirror is the rest of the tree (see
     `bp.branch_and_prune`); a full word is `realize`.  The walk starts from
-    one row, so the prefix's levels are one-row steps, edge-free ones too.
+    one row, so the prefix's levels are one-row steps.
     """
     n = internal.n
     # (u, d^2) of the edges vertex i closes at closes[i]; past the root all
@@ -282,16 +282,13 @@ def _sign_blocks(internal: InternalCoords,
                 q, row, g, k = qs[0], block[0], gs.item(), index.item()
                 live = [0]
                 while v < n and len(live) == 1:
-                    us, d2s = closes[v + 1]
-                    if not d2s.size and v - 3 >= len(prefix):
-                        break  # an edge-free level: the doubling step takes the row
                     v += 1
+                    us, d2s = closes[v]
                     kids = q @ branches[v - 4]
                     xs, gk = kids[:, :3, 3], [g, g]
-                    if d2s.size:  # `penalties` of the children, from their differences with the row
-                        diff = row.take(us, axis=0) - xs[:, None]
-                        residual = np.einsum("kej,kej->ke", diff, diff) - d2s
-                        gk = [g + t for t in np.einsum("ke,ke->k", residual, residual).tolist()]
+                    if d2s.size:  # the children's terms, from their differences with the row
+                        terms = _terms(row.take(us, axis=0) - xs[:, None], d2s)
+                        gk = [g + t for t in terms.tolist()]
                     bit = prefix[v - 4:v - 3]  # the child the prefix names, "" past it
                     live = [c for c, t in enumerate(gk) if t < delta and bit in "01"[c]]
                     if len(live) == 1:
@@ -315,17 +312,11 @@ def _sign_blocks(internal: InternalCoords,
             index = np.add.outer(index, np.array([0, 1 << (n - v)], index.dtype)).ravel()
             block[:, v - 1] = qs[:, :3, 3]
             us, d2s = closes[v]
-            if not d2s.size:  # an edge-free level keeps g and the rows
-                continue
-            gs = gs + penalties(block, (us, slice(v - 1, v), d2s))
+            gs = gs + _terms(block.take(us, axis=1) - block[:, v - 1:v], d2s)
             kept = (gs < delta).nonzero()[0]
             if kept.size < gs.size:
                 if not kept.size:
                     break
-                # a run of rows, or any two, is a basic slice, which copies nothing
-                a, b = kept[0], kept[-1]
-                if kept.size == 2 or b - a < kept.size:
-                    kept = slice(a, b + 1, b - a if kept.size == 2 else 1)
                 qs, block, gs, index = qs[kept], block[kept], gs[kept], index[kept]
 
 
@@ -340,13 +331,27 @@ def penalties(points: np.ndarray,
     """Penalty of each conformation in a stack: points (K, n, 3) -> (K,).
 
     g = sum over edges of (||x_u - x_v||^2 - d_uv^2)^2, with `edges` from
-    `edge_arrays`; v may also be a slice of one vertex, shared by every
-    edge.  Zero exactly when every edge distance is met.
+    `edge_arrays`.  Zero exactly when every edge distance is met.
     """
     u, v, d2 = edges
-    diff = points.take(u, axis=1) - points[:, v]
+    return _terms(points.take(u, axis=1) - points[:, v], d2)
+
+
+def _terms(diff: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The penalty kernel: sum over e of (|diff[k, e]|^2 - d2[e])^2 per row k
+    of the edge difference vectors diff (K, e, 3).  `penalties` and both
+    steps of the sign-tree walk sum their terms here, so they agree bit for bit."""
     residual = np.einsum("kej,kej->ke", diff, diff) - d2
     return np.einsum("ke,ke->k", residual, residual)
+
+
+def _distances(points: np.ndarray, u: int | np.ndarray, v: int | np.ndarray) -> np.ndarray:
+    """|x_u - x_v| for 0-based vertices u, v: ints, or index arrays of one
+    shape.  sqrt(x . x) through `np.matmul`, one dot product per pair, is
+    the one pair-distance formula: `Conformation.distance` and the
+    generator's edge weights both read it."""
+    diff = points[u] - points[v]
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def penalty(conf: Conformation, inst: "DmdgpInstance") -> float:

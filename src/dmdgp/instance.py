@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bitstrings import check_bits
-from .geometry import Conformation, InternalCoords, quad_end_distance, realize
+from .geometry import Conformation, InternalCoords, _distances, quad_end_distance, realize
 
 #: Distance ceiling (angstroms): the largest separation the intended
 #: measurement technique resolves; also the bound the oracle
@@ -517,13 +517,6 @@ def _draw_internal(n: int, rng: random.Random) -> tuple[InternalCoords, str]:
 def random_internal_coords(n: int, seed: int) -> tuple[InternalCoords, str]:
     """The internal coordinates `generate(n, seed, ...)` builds on."""
     return _draw_internal(_check_vertex_count(n), random.Random(seed))
-
-
-def _distances(points: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|x_u - x_v| for 0-based index arrays: sqrt(x . x) through matmul is bit
-    for bit `Conformation.distance`'s norm, which einsum and (x * x).sum are not."""
-    diff = points[u] - points[v]
-    return np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
 
 
 def _coins(rng: random.Random, m: int) -> np.ndarray:

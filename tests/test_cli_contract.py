@@ -191,12 +191,9 @@ ROWS = [
     fails("solve-missing-file", ("solve", "/nonexistent/inst.json"), IO,
           "cannot read /nonexistent/inst.json: [Errno 2] No such file or directory: "
           "'/nonexistent/inst.json'"),
-    Row("solve-tol", ("solve", DEMO, "--tol", "0"), USAGE,
-        ("usage: dmdgp [-h] {gen,solve,grover,metrics,oracle-scan} ...",
-         "dmdgp: error: unrecognized arguments: --tol 0")),
+    fails("solve-tol", ("solve", DEMO, "--tol", "0"), USAGE, "unrecognized arguments: --tol 0"),
     Row("solve-unknown-flag", ("solve", "--frobnicate"), USAGE,
-        ("usage: dmdgp solve [-h] [--mode {all,first}] instance",
-         "dmdgp solve: error: the following arguments are required: instance")),
+        ("dmdgp solve: error: the following arguments are required: instance",)),
     fails("solve-oops", ("solve", "oops.json"), DATA, "oops.json: invalid JSON at line 1, "
           "column 2: Expecting property name enclosed in double quotes"),
     fails("solve-bigweight", ("solve", "bigweight.json"), DATA,

@@ -6,6 +6,7 @@ with penalty below delta, which the oracle marks, the symmetry
 set and its expansion agree with their definitions, the marked set
 `dmdgp grover` takes from branch-and-prune equals the exhaustive scan's,
 the walk yields the block-only reference walk's rows, bit for bit,
+also over edge sets with every edge that ends at some vertices removed,
 and the same rows whatever its block cap, and under a
 prefix the rows of the whole walk that begin with it,
 branch-and-prune's half walk and mirror rows are the whole-tree walk's
@@ -153,6 +154,53 @@ def test_walk_yields_the_block_only_walks_rows(case):
     inst, delta, cap, prefix = case
     got = walk_blocks(inst, delta, cap, prefix)
     expected = walk_blocks(inst, delta, cap, prefix, walk=sign_blocks)
+    if delta == math.inf:  # the scan numbers a block's rows from its first index
+        assert got == expected
+    assert [row for block in got for row in block] == [row for block in expected for row in block]
+
+
+def kept_edges(inst, dropped):
+    """The instance's edge arrays less every edge that ends at a vertex of
+    `dropped` (0-based)."""
+    u, v, d2 = edge_arrays(inst)
+    keep = ~np.isin(v, sorted(dropped))
+    return u[keep], v[keep], d2[keep]
+
+
+@st.composite
+def edge_subset_walks(draw):
+    """(instance, dropped vertices, delta, cap, prefix) of a walk over the
+    instance's edges less those that end at the dropped vertices, so levels
+    that close no edge turn up anywhere in the walk: n = 4..14 with no cut,
+    or 4..40 with at most 2^10 solutions left over the kept edges."""
+    delta = draw(st.sampled_from([math.inf, 1e-4, 1e-10]))
+    inst, _ = draw(st.builds(generate, n=st.integers(4, 14 if delta == math.inf else 40),
+                             seed=st.integers(0, 2**32 - 1),
+                             long_edge_prob=st.floats(0.0, 1.0)))
+    dropped = draw(st.frozensets(st.integers(0, inst.n - 1)))
+    if delta != math.inf:
+        # the kept edges' symmetry set: vertices no kept edge {u, w} crosses, u + 3 < v <= w
+        u, w, _ = kept_edges(inst, dropped)
+        v = np.arange(3, inst.n)
+        crossed = ((u[:, None] + 3 < v) & (v <= w[:, None])).any(axis=0)
+        assume(np.count_nonzero(~crossed) <= 10)
+    return (inst, dropped, delta, draw(st.sampled_from([1, FIRST_BLOCK_ROWS, 1 << BLOCK_LEVELS])),
+            draw(st.text("01", max_size=inst.n - 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_subset_walks())
+# no edge at all: every level past the prefix doubles without a term
+@example((generate(11, 1, 0.5)[0], frozenset(range(11)), math.inf, FIRST_BLOCK_ROWS, "01"))
+# a deep chain whose one-row runs meet edge-free levels mid-walk
+@example((generate(60, 4, 0.5)[0], frozenset({9, 20, 21, 45}), 1e-10, 1, ""))
+@example((generate(30, 2, 0.5)[0], frozenset({2, 3, 7}), 1e-4, 1 << BLOCK_LEVELS, "1"))
+def test_walk_over_edge_subsets_yields_the_block_only_walks_rows(case):
+    inst, dropped, delta, cap, prefix = case
+    internal, edges = extract_internal(inst), kept_edges(inst, dropped)
+    got, expected = ([[(k, pts.tobytes(), g.tobytes()) for k, pts, g in zip(index.tolist(), block, gs)]
+                      for index, block, gs in walk(internal, edges, delta, cap, prefix)]
+                     for walk in (_sign_blocks, sign_blocks))
     if delta == math.inf:  # the scan numbers a block's rows from its first index
         assert got == expected
     assert [row for block in got for row in block] == [row for block in expected for row in block]
