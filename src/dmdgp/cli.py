@@ -13,10 +13,10 @@ GROVER_MAX_ITERS, a metrics --marked set that is empty, outside 0..N-1 or
 every outcome, in the library's words, oracle-scan --delta so small that
 delta / p1 underflows to 0), 65 data format error (also text not UTF-8,
 nested too deeply or with an integer over Python's digit limit, a weight
-beyond the doubles) or an instance outside supported limits (search space
-over the scan cap or, for grover, over GROVER_MAX_OUTCOMES, solve --mode all
-predicting over SOLVE_MAX_ROWS solutions, every candidate marked, distances no
-chain realizes).  The solve limit reads the predicted count 2^|S|, so a
+beyond the doubles) or an instance outside supported limits (oracle-scan's
+search space over the scan cap, grover's over GROVER_MAX_OUTCOMES, solve --mode
+all predicting over SOLVE_MAX_ROWS solutions, every candidate marked, distances
+no chain realizes).  The solve limit reads the predicted count 2^|S|, so a
 non-generic instance, one with more than 2^|S| solutions, is not caught before
 the walk.
 """
@@ -58,8 +58,8 @@ DEFAULT_SHOTS = 8196
 #: empty edge list over n vertices breaks n - 3 cliques.
 VIOLATIONS_SHOWN = 10
 
-#: `grover` holds several N-length arrays and prints two N-row tables, so it
-#: stops at 2^22 outcomes (n <= 25), below the scan cap.  Its message
+#: `grover` holds several N-length arrays, prints two N-row tables and runs
+#: no scan, so its one size limit is 2^22 outcomes (n <= 25).  Its message
 #: estimates the run from per-outcome costs measured at N = 2^19 (n = 22)
 #: with stdout held in memory: 300-330 B of peak RSS and 79 B of stdout.
 GROVER_MAX_OUTCOMES = 1 << 22
@@ -432,7 +432,7 @@ class RunReport:
     n_edges: int
     N: int
     symmetry_vertices: tuple[int, ...]
-    marked: tuple[int, ...]
+    marked: np.ndarray  # the walk's read-only int64 index, ascending
     plan: grover.GroverPlan
     iters: int
     ideal: grover.Distribution
@@ -454,11 +454,11 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     """Branch-and-prune for the marked set, iteration planning, evolution,
     sampling, scoring.
 
-    The scan cap and `GROVER_MAX_OUTCOMES` bound the N-length arrays and the
-    N-row report, so both are checked before the search runs.
+    `GROVER_MAX_OUTCOMES` bounds the N-length arrays and the N-row report,
+    so it is checked before the search runs.
     """
     internal = geometry.extract_internal(inst)
-    N = oracle.check_scan_cap(inst.n)
+    N = 1 << (inst.n - 3)
     if N > GROVER_MAX_OUTCOMES:
         raise CliError(
             EXIT_DATA,
@@ -478,7 +478,7 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
         n_edges=len(inst.edges),
         N=N,
         symmetry_vertices=bp.symmetry_set(inst).vertices,
-        marked=tuple(index.tolist()),
+        marked=index,
         plan=plan,
         iters=k,
         ideal=ideal,

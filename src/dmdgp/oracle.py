@@ -37,8 +37,8 @@ from .instance import DmdgpInstance
 DEFAULT_DELTA = 1e-10
 DEFAULT_EPSILON = 0.5
 
-#: Largest search space an exhaustive scan will walk.  `dmdgp grover`
-#: checks it too, but stops first, at `cli.GROVER_MAX_OUTCOMES` (2^22).
+#: Largest search space `scan` will walk; `dmdgp grover` never scans, and
+#: stops at its own limit, `cli.GROVER_MAX_OUTCOMES` (2^22).
 DEFAULT_SCAN_CAP = 1 << 24
 
 
@@ -100,14 +100,6 @@ def oracle_eval(inst: DmdgpInstance, internal: InternalCoords,
     return int(oracle_bit(params, penalty(realize(internal, bits), inst)))
 
 
-def check_scan_cap(n: int) -> int:
-    """The search space size 2^(n-3); raises ScanCapExceeded above DEFAULT_SCAN_CAP."""
-    size = 1 << (n - 3)
-    if size > DEFAULT_SCAN_CAP:
-        raise ScanCapExceeded(f"search space {size} exceeds scan cap {DEFAULT_SCAN_CAP}")
-    return size
-
-
 def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, np.ndarray]]:
     """(first, g) per block of the sign-tree walk run with no cut, where g[j]
     is g(h(first + j)) and the blocks cover 0..2^(n-3) - 1 in order (with no
@@ -116,7 +108,9 @@ def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, n
     ValueError when `internal` is not of an n-vertex chain."""
     if internal.n != inst.n:
         raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
-    check_scan_cap(inst.n)
+    size = 1 << (inst.n - 3)
+    if size > DEFAULT_SCAN_CAP:
+        raise ScanCapExceeded(f"search space {size} exceeds scan cap {DEFAULT_SCAN_CAP}")
     return ((int(index[0]), g) for index, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 

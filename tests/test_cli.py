@@ -60,11 +60,6 @@ def demo_path(tmp_path):
 # they had here: class, test, then parameter id.  Each id still runs: it
 # checks its rows in-process, in this module's own runner directory.
 MOVED = {
-    "TestGen": {
-        "test_n_below_four_is_usage_error": "gen-n3",
-        "test_edge_probability_out_of_range_is_usage_error": "gen-edge-prob-1.5",
-        "test_unwritable_path_is_io_error": "gen-unwritable",
-    },
     "TestSolve": {
         "test_missing_file_is_io_error": "solve-missing-file",
         "test_tol_is_unknown_option": "solve-tol",
@@ -100,7 +95,6 @@ MOVED = {
         "test_generated_svg_is_pinned": "grover-n13-svg",
         "test_generated_solve_output_is_pinned": "solve-clique13",
         "test_generated_n15_solve_output_is_pinned": "solve-clique15",
-        "test_over_scan_cap_is_data_error": "grover-over-scan-cap",
         "test_inconsistent_instance_exits_one": "grover-broken",
         "test_every_candidate_marked_is_data_error": "grover-every-marked",
     },
@@ -152,7 +146,6 @@ MOVED = {
             f"{n}-{seed}-{p}-{contract.ROW[row].out}": row for n, seed, p, row in [
                 (10, 1, "0", "oracle-scan-n10-p0"), (10, 1, "0.5", "oracle-scan-n10-p0.5"),
                 (10, 1, "1", "oracle-scan-n10-p1"), (14, 2, "0.5", "oracle-scan-n14-p0.5")]},
-        "test_over_scan_cap_prints_no_rows": "oracle-scan-over-scan-cap",
     },
 }
 
@@ -183,7 +176,6 @@ def _check_rows(row_ids, in_process_dir, monkeypatch):
         contract.check_in_process(contract.ROW[row_id], in_process_dir, monkeypatch)
 
 
-@with_moved_tests
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -315,7 +307,7 @@ class TestGrover:
 
     def test_over_outcome_limit_is_data_error_before_any_work(self, tmp_path, capsys,
                                                               monkeypatch):
-        # n = 26: N = 2^23 is under the scan cap and over grover's own limit
+        # n = 26: N = 2^23 is over grover's limit of 2^22 outcomes
         path = tmp_path / "n26.json"
         path.write_text(serialize_instance(*generate(26, 1, 0.5)), encoding="utf-8")
 

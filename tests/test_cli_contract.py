@@ -10,8 +10,8 @@ outside the checkout:
     python -m pytest -p no:cacheprovider -o pythonpath= tests/test_cli_contract.py
 
 Each runner works in a directory of its own, which holds the named
-documents below and the inputs the runner's own `dmdgp gen` writes, once
-per set of `gen` arguments.  Rows name those files by their bare names,
+documents below and every row's `gen` input, written through `cli.main`
+when the directory is made.  Rows name those files by their bare names,
 so a message that quotes a path reads the same in both runners.
 """
 
@@ -45,7 +45,7 @@ OK, NO_SOLUTION, IO, USAGE, DATA = 0, 1, 2, 64, 65
 
 @dataclass(frozen=True)
 class Gen:
-    """An input document that the runner's own `dmdgp gen` writes."""
+    """An input document that `dmdgp gen` writes into each runner's directory."""
 
     n: int
     seed: int
@@ -55,10 +55,9 @@ class Gen:
     def name(self) -> str:
         return f"gen-{self.n}-{self.seed}-{self.p}.json"
 
-    @property
-    def argv(self) -> list[str]:
+    def argv(self, directory: Path) -> list[str]:
         return ["gen", "--n", str(self.n), "--seed", str(self.seed),
-                "--long-edge-prob", self.p, "--out", self.name]
+                "--long-edge-prob", self.p, "--out", str(directory / self.name)]
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,12 @@ DOCUMENTS = {
     # 2^64 outcomes, one of them present: the message counts the rest
     "wide.csv": f"outcome,probability\n{'0' * 64},1\n",
     "header.csv": "outcome,probability\n",
+    "empty.csv": "",
+    "fields.csv": "outcome,probability\n0,0.5,x\n1,0.5\n",
+    "width.csv": "outcome,probability\n0,0.5\n01,0.5\n",
+    "half.csv": "outcome,probability\n0,half\n1,0.5\n",
+    "negative.csv": "outcome,probability\n0,-0.5\n1,1.5\n",
+    "inf.csv": "outcome,probability\n0,inf\n1,0.5\n",
 }
 
 DEMO = Data("demo7.json")
@@ -236,7 +241,8 @@ ROWS = [
     fails("grover-every-marked", ("grover", Gen(6, 2, "0")), DATA,
           "oracle marks all 8 candidates: nothing to amplify"),
     fails("grover-over-scan-cap", ("grover", Gen(30, 1, "0.5")), DATA,
-          "search space 134217728 exceeds scan cap 16777216"),
+          "search space 134217728 exceeds grover's limit of 4194304 outcomes "
+          "(~40265 MB of memory and ~10737 MB of stdout)"),
     fails("grover-iters-negative", ("grover", DEMO, "--iters", "-2"), USAGE,
           "--iters must be nonnegative"),
     fails("grover-iters-word", ("grover", DEMO, "--iters", "lots"), USAGE,
@@ -319,11 +325,22 @@ ROWS = [
           + ", ".join(f"{k:064b}" for k in (1, 2, 3))),
     fails("metrics-header-only", ("metrics", "header.csv", "header.csv"), DATA,
           "header.csv: no outcome rows"),
+    *(fails(f"metrics-{name}", ("metrics", f"{name}.csv", f"{name}.csv"), DATA,
+            f"{name}.csv: {message}") for name, message in [
+        ("empty", "empty distribution file"),
+        ("fields", "row 2: expected 2 fields, got 3"),
+        ("width", "row 3: outcome width 2 != 1"),
+        ("half", "row 2: bad probability 'half'"),
+        ("negative", "row 2: probability must be finite and >= 0"),
+        ("inf", "row 2: probability must be finite and >= 0"),
+    ]),
 
     Row("help", ("--help",), out=None),
 ]
 ROW = {row.id: row for row in ROWS}
 assert len(ROW) == len(ROWS), "row ids must be unique"
+#: Every row's `gen` input, once each.
+GENS = list(dict.fromkeys(arg for row in ROWS for arg in row.argv if isinstance(arg, Gen)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +394,9 @@ def _workdir(tmp_path_factory, name: str) -> Path:
     path = tmp_path_factory.mktemp(name)
     for doc, content in DOCUMENTS.items():
         (path / doc).write_bytes(content if isinstance(content, bytes) else content.encode())
+    for gen in GENS:
+        code, _, err = run_in_process(gen.argv(path))
+        assert code == OK, f"{gen.name}: {err}"
     return path
 
 
@@ -386,23 +406,16 @@ def in_process_dir(tmp_path_factory):
 
 
 def check_in_process(row: Row, workdir: Path, monkeypatch) -> None:
-    """Run `row` through `cli.main` in `workdir`, after its inputs."""
+    """Run `row` through `cli.main` in `workdir`."""
     monkeypatch.chdir(workdir)
-    for gen in (arg for arg in row.argv if isinstance(arg, Gen)):
-        if not (workdir / gen.name).exists():
-            assert run_in_process(gen.argv)[0] == OK
     check(row, run_in_process(row.argv), workdir)
 
 
 @pytest.fixture(scope="module")
 def child_results(tmp_path_factory):
-    """(workdir, {row id: result}) of every row's child process, two at a
-    time: first the `gen` runs of their inputs, then the rows."""
+    """(workdir, {row id: result}) of every row's child process, two at a time."""
     workdir = _workdir(tmp_path_factory, "child")
-    gens = {arg for row in ROWS for arg in row.argv if isinstance(arg, Gen)}
     with ThreadPoolExecutor(2) as pool:
-        for gen, (code, _, err) in zip(gens, pool.map(lambda g: run_child(g.argv, workdir), gens)):
-            assert code == OK, f"{gen.name}: {err}"
         results = pool.map(lambda row: run_child(row.argv, workdir), ROWS)
         return workdir, {row.id: result for row, result in zip(ROWS, results)}
 

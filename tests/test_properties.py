@@ -341,7 +341,8 @@ def test_grover_marks_the_exhaustive_marked_set(generated):
             run_search(inst, None, "nearest", 64, 0, 0.0)
         return
     report = run_search(inst, None, "nearest", 64, 0, 0.0)
-    assert report.marked == expected
+    assert report.marked.dtype == np.int64 and not report.marked.flags.writeable
+    assert tuple(report.marked.tolist()) == expected
     assert report.plan.M == len(report.marked)
 
 
