@@ -460,11 +460,12 @@ def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
     internal = geometry.extract_internal(inst)
     N = 1 << (inst.n - 3)
     if N > GROVER_MAX_OUTCOMES:
+        # MB rounded in integers: from n = 1019 on, N * 300 overflows a float
         raise CliError(
             EXIT_DATA,
             f"search space {N} exceeds grover's limit of {GROVER_MAX_OUTCOMES} outcomes "
-            f"(~{N * GROVER_BYTES_PER_OUTCOME / 1e6:.0f} MB of memory and "
-            f"~{N * GROVER_STDOUT_BYTES_PER_OUTCOME / 1e6:.0f} MB of stdout)")
+            f"(~{(N * GROVER_BYTES_PER_OUTCOME + 500_000) // 10**6} MB of memory and "
+            f"~{(N * GROVER_STDOUT_BYTES_PER_OUTCOME + 500_000) // 10**6} MB of stdout)")
     index = bp.branch_and_prune(inst, internal).index
     if index.size == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import re
 import struct
@@ -300,6 +301,20 @@ class TestGrover:
         assert err.splitlines() == ["dmdgp: error: --iters must be at most 4194304"]
         assert _parse_iters("4194304") == GROVER_MAX_ITERS == 4194304
 
+    def test_far_over_the_limit_is_one_data_error_line(self, tmp_path, capsys):
+        # N * 300 B passes the largest double from n = 1019 on
+        inst, gt = generate(1100, 1, 0.5)
+        path = tmp_path / "n1100.json"
+        path.write_text(serialize_instance(inst, gt), encoding="utf-8")
+        assert main(["grover", str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        N = 1 << 1097
+        memory, stdout = (round(fractions.Fraction(N * b, 10**6)) for b in (300, 80))
+        assert out == ""
+        assert err.splitlines() == [
+            f"dmdgp: error: search space {N} exceeds grover's limit of 4194304 outcomes "
+            f"(~{memory} MB of memory and ~{stdout} MB of stdout)"]
+
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
@@ -487,7 +502,7 @@ def test_report_rows_equal_per_row_formatting(columns):
     N = 1 << width
     base = run_search(demo7_instance()[0], None, "nearest", 100, 0, 0.0)
     report = dataclasses.replace(
-        base, n=width + 3, N=N, marked=tuple(marked),
+        base, n=width + 3, N=N, marked=np.array(marked, dtype=np.int64),
         plan=iteration_count(N, len(marked)),
         ideal=Distribution(np.array(weights) / sum(weights)))
     labels, freqs = all_bits(width), np.array(sampled, dtype=float)
