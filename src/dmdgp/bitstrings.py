@@ -2,12 +2,22 @@
 
 Candidate indices and torsion-sign words use the same convention
 everywhere: the leftmost character is the most significant bit and
-belongs to the lowest branching vertex (vertex 4).
+belongs to the lowest branching vertex (vertex 4).  `decimal_text`
+writes such indices, and the sizes of their ranges, in decimal.
 """
 
 from __future__ import annotations
 
+import decimal
+
 import numpy as np
+
+
+def decimal_text(k: int) -> str:
+    """str(k) at any length: `str` refuses an int past
+    sys.get_int_max_str_digits() digits (4300 by default), `Decimal` does
+    not.  int() lets numpy integers in."""
+    return str(decimal.Decimal(int(k)))
 
 
 def int_to_bits(k: int, width: int) -> str:

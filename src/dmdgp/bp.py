@@ -40,9 +40,6 @@ class SymmetrySet:
 
     vertices: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
 

@@ -35,10 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from . import bp, geometry, grover, metrics, oracle
-from .bitstrings import _bit_digits, all_bits, int_to_bits
+from .bitstrings import _bit_digits, all_bits, decimal_text, int_to_bits
 from .instance import (
     DmdgpInstance,
-    GroundTruth,
     ParseError,
     generate,
     parse_document,
@@ -109,19 +108,20 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def _load_instance(path: str) -> tuple[DmdgpInstance, GroundTruth | None]:
+def _load_instance(path: str) -> tuple[DmdgpInstance, geometry.InternalCoords]:
+    """Parse and validate an instance file and extract its internal coordinates."""
     text = _read_text(path)
     try:
-        inst, ground = parse_document(text)
-    except ParseError as exc:
+        inst, _ = parse_document(text)
+        report = validate(inst, limit=VIOLATIONS_SHOWN)
+        if not report.ok:
+            lines = [f"  {v.rule}: {v.message}" for v in report.violations]
+            if report.more:
+                lines.append(f"  ... and {report.more} more")
+            raise CliError(EXIT_DATA, f"{path}: instance fails validation:\n" + "\n".join(lines))
+        return inst, geometry.extract_internal(inst)
+    except (ParseError, geometry.InconsistentDistances) as exc:
         raise CliError(EXIT_DATA, f"{path}: {exc}") from exc
-    report = validate(inst, limit=VIOLATIONS_SHOWN)
-    if not report.ok:
-        lines = [f"  {v.rule}: {v.message}" for v in report.violations]
-        if report.more:
-            lines.append(f"  ... and {report.more} more")
-        raise CliError(EXIT_DATA, f"{path}: instance fails validation:\n" + "\n".join(lines))
-    return inst, ground
 
 
 def load_distribution_csv(text: str) -> np.ndarray:
@@ -166,7 +166,8 @@ def load_distribution_csv(text: str) -> np.ndarray:
         # the keys are distinct indices below size, so the count finds a gap
         # and the search for the first three stops within len(seen) + 3 steps
         first = itertools.islice((k for k in range(size) if k not in seen), 3)
-        raise ParseError(f"missing {size - len(seen)} of {size} outcomes, first "
+        raise ParseError(f"missing {decimal_text(size - len(seen))} of {decimal_text(size)} "
+                         "outcomes, first "
                          + ", ".join(int_to_bits(k, width) for k in first))
     return np.array([seen[k] for k in range(size)])
 
@@ -273,11 +274,11 @@ def solution_table(width: int, index: np.ndarray | Sequence[int], penalties: np.
     strings past 63 bits), and `_sci3`'s penalty fields.  A row with a
     shorter index or penalty than the widest leaves NUL bytes in their
     columns, and one `bytes.replace` drops them."""
-    rows, digits = len(index), len(str(index[-1]))
+    rows, digits = len(index), len(decimal_text(index[-1]))
     tail = f"  penalty={'0' * 11}\n"
     wide = width > 63
     if wide:
-        text = "".join(f"  bits={j:0{width}b}  index={str(j).rjust(digits, chr(0))}{tail}"
+        text = "".join(f"  bits={j:0{width}b}  index={decimal_text(j).rjust(digits, chr(0))}{tail}"
                        for j in index)
     else:
         text = f"  bits={'0' * width}  index={'0' * digits}{tail}" * rows
@@ -391,15 +392,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst, _ = _load_instance(args.instance)
-    internal = geometry.extract_internal(inst)
+    inst, internal = _load_instance(args.instance)
     sym = bp.symmetry_set(inst)
+    predicted = f"predicted solutions 2^|S| = {decimal_text(sym.expansion_size)}"
     if args.mode == "all" and sym.expansion_size > SOLVE_MAX_ROWS:
-        raise CliError(EXIT_DATA, f"predicted solutions 2^|S| = {sym.expansion_size} exceed "
-                                  f"solve's limit of {SOLVE_MAX_ROWS} rows in mode 'all'")
+        raise CliError(EXIT_DATA, f"{predicted} exceed solve's limit of {SOLVE_MAX_ROWS} "
+                                  "rows in mode 'all'")
     print(f"instance: n={inst.n}, edges={len(inst.edges)}")
-    print(f"symmetry set S = {{{', '.join(str(v) for v in sym.vertices)}}}, "
-          f"predicted solutions 2^|S| = {sym.expansion_size}")
+    print(f"symmetry set S = {{{', '.join(str(v) for v in sym.vertices)}}}, {predicted}")
     try:
         solutions = bp.branch_and_prune(inst, internal, mode=args.mode)
     except bp.NoSolutionError:
@@ -449,23 +449,23 @@ class RunReport:
             raise ValueError("plan marked count inconsistent with marked set")
 
 
-def run_search(inst: DmdgpInstance, iters: int | None, iter_mode: str,
-               shots: int, seed: int, noise: float) -> RunReport:
+def run_search(inst: DmdgpInstance, internal: geometry.InternalCoords, iters: int | None,
+               iter_mode: str, shots: int, seed: int, noise: float) -> RunReport:
     """Branch-and-prune for the marked set, iteration planning, evolution,
     sampling, scoring.
 
     `GROVER_MAX_OUTCOMES` bounds the N-length arrays and the N-row report,
     so it is checked before the search runs.
     """
-    internal = geometry.extract_internal(inst)
     N = 1 << (inst.n - 3)
     if N > GROVER_MAX_OUTCOMES:
         # MB rounded in integers: from n = 1019 on, N * 300 overflows a float
+        memory, stdout = (decimal_text((N * b + 500_000) // 10**6)
+                          for b in (GROVER_BYTES_PER_OUTCOME, GROVER_STDOUT_BYTES_PER_OUTCOME))
         raise CliError(
             EXIT_DATA,
-            f"search space {N} exceeds grover's limit of {GROVER_MAX_OUTCOMES} outcomes "
-            f"(~{(N * GROVER_BYTES_PER_OUTCOME + 500_000) // 10**6} MB of memory and "
-            f"~{(N * GROVER_STDOUT_BYTES_PER_OUTCOME + 500_000) // 10**6} MB of stdout)")
+            f"search space {decimal_text(N)} exceeds grover's limit of {GROVER_MAX_OUTCOMES} "
+            f"outcomes (~{memory} MB of memory and ~{stdout} MB of stdout)")
     index = bp.branch_and_prune(inst, internal).index
     if index.size == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
@@ -538,9 +538,9 @@ def cmd_grover(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "--shots must be below 2^63")
     if args.seed < 0:
         raise CliError(EXIT_USAGE, "--seed must be nonnegative")
-    inst, _ = _load_instance(args.instance)
+    inst, internal = _load_instance(args.instance)
     try:
-        report = run_search(inst, iters_arg, args.iter_mode, args.shots,
+        report = run_search(inst, internal, iters_arg, args.iter_mode, args.shots,
                             args.seed, args.noise)
     except bp.NoSolutionError:
         print("oracle marks no candidate (inconsistent instance)")
@@ -607,12 +607,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_scan(args: argparse.Namespace) -> int:
-    inst, _ = _load_instance(args.instance)
+    inst, internal = _load_instance(args.instance)
     try:
         params = oracle.oracle_params(inst.n, args.delta, args.epsilon)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    rows = oracle.scan(inst, geometry.extract_internal(inst))
+    try:
+        rows = oracle.scan(inst, internal)
+    except oracle.ScanCapExceeded as exc:
+        raise CliError(EXIT_DATA, str(exc)) from exc
     n_bits = inst.n - 3
     print(f"n={inst.n}, delta={params.delta:g}, epsilon={params.epsilon:g}, "
           f"p1={params.p1:.0f}, p2={params.p2:.4f}")
@@ -688,13 +691,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, oracle.ScanCapExceeded) as exc:
+    except CliError as exc:
         print(f"dmdgp: error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, CliError) else EXIT_DATA
-    except geometry.InconsistentDistances as exc:
-        # raised by extract_internal, which only solve, grover and oracle-scan call
-        print(f"dmdgp: error: {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.code
 
 
 def console_main() -> None:

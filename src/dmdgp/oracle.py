@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitstrings import int_to_bits
+from .bitstrings import decimal_text, int_to_bits
 from .geometry import InternalCoords, _sign_blocks, edge_arrays, penalty, realize
 from .instance import DmdgpInstance
 
@@ -110,7 +110,7 @@ def scan(inst: DmdgpInstance, internal: InternalCoords) -> Iterator[tuple[int, n
         raise ValueError(f"internal coordinates built for n={internal.n}, instance has n={inst.n}")
     size = 1 << (inst.n - 3)
     if size > DEFAULT_SCAN_CAP:
-        raise ScanCapExceeded(f"search space {size} exceeds scan cap {DEFAULT_SCAN_CAP}")
+        raise ScanCapExceeded(f"search space {decimal_text(size)} exceeds scan cap {DEFAULT_SCAN_CAP}")
     return ((int(index[0]), g) for index, _, g in _sign_blocks(internal, edge_arrays(inst)))
 
 

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import fractions
 import math
 import re
 import struct
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from dmdgp import (
     expand_symmetry,
     extract_internal,
     generate,
+    generate_from_topology,
+    parse_document,
     serialize_instance,
     symmetry_set,
 )
@@ -42,7 +47,7 @@ from dmdgp.cli import (
 )
 from dmdgp.bitstrings import _bit_digits, all_bits, int_to_bits
 from dmdgp.grover import Distribution, iteration_count
-from dmdgp.instance import ParseError
+from dmdgp.instance import ParseError, clique_pairs
 
 import test_cli_contract as contract
 from test_cli_contract import in_process_dir  # noqa: F401  (a fixture of the moved tests)
@@ -64,7 +69,6 @@ MOVED = {
     "TestSolve": {
         "test_missing_file_is_io_error": "solve-missing-file",
         "test_tol_is_unknown_option": "solve-tol",
-        "test_malformed_file_is_data_error": "solve-oops",
         "test_deep_chain_solve_output_is_pinned": {
             "all-5ef4a38a6d4adb2685fd85272bdb28e375319765b88907af2298ab92f405ba53":
                 "solve-chain300-all",
@@ -96,12 +100,6 @@ MOVED = {
         "test_generated_svg_is_pinned": "grover-n13-svg",
         "test_generated_solve_output_is_pinned": "solve-clique13",
         "test_generated_n15_solve_output_is_pinned": "solve-clique15",
-        "test_inconsistent_instance_exits_one": "grover-broken",
-        "test_every_candidate_marked_is_data_error": "grover-every-marked",
-    },
-    "TestUnrealizableInstance": {
-        "test_is_data_error": {command: f"{command}-unrealizable"
-                               for command in ("solve", "grover", "oracle-scan")},
     },
     "TestInvalidDocument": {
         "test_text_that_is_no_document_is_one_line_data_error": {
@@ -318,7 +316,7 @@ class TestGrover:
     def test_run_search_rejects_negative_noise(self):
         inst, _ = demo7_instance()
         with pytest.raises(ValueError, match="mixing weight"):
-            run_search(inst, None, "nearest", 100, 0, -0.25)
+            run_search(inst, extract_internal(inst), None, "nearest", 100, 0, -0.25)
 
     def test_over_outcome_limit_is_data_error_before_any_work(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -344,6 +342,80 @@ class TestGrover:
             "dmdgp: error: search space 8388608 exceeds grover's limit of 4194304 "
             "outcomes (~2517 MB of memory and ~671 MB of stdout)"
         ]
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's int-to-str digit limit set to `digits` (0 lifts it), then restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestIntDigitLimit:
+    """Every command prints its sizes and indices in full under the lowest
+    digit limit PYTHONINTMAXSTRDIGITS accepts, 640 digits; n = 2200 gives
+    2^2197 candidates, whose count has 662 digits."""
+
+    @pytest.fixture(scope="class")
+    def n2200_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("digits") / "n2200.json"
+        path.write_text(serialize_instance(*generate(2200, 1, 0.5)), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def run(argv, capsys):
+        with int_digit_limit(640):
+            code = main(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("mode", ["first", "all"])
+    def test_solve_prints_every_index(self, n2200_path, mode, capsys):
+        code, out, err = self.run(["solve", n2200_path, "--mode", mode], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        with int_digit_limit(0):
+            inst, _ = parse_document(Path(n2200_path).read_text(encoding="utf-8"))
+            solutions = branch_and_prune(inst, extract_internal(inst), mode=mode)
+            rows = ["  bits={}  index={}  penalty={:.3e}".format(int_to_bits(k, inst.n - 3), k, g)
+                    for k, g in zip(solutions.index.tolist(), solutions.penalties.tolist())]
+        assert out.splitlines()[2:] == [f"solutions found: {len(rows)}", *rows]
+
+    @pytest.mark.parametrize("command", ["grover", "oracle-scan"])
+    def test_search_space_over_the_limit_is_one_line(self, n2200_path, command, capsys):
+        code, out, err = self.run([command, n2200_path], capsys)
+        with int_digit_limit(0):
+            N = 1 << 2197
+            message = (f"search space {N} exceeds scan cap {1 << 24}" if command == "oracle-scan"
+                       else f"search space {N} exceeds grover's limit of 4194304 outcomes "
+                            f"(~{(N * 300 + 500_000) // 10**6} MB of memory and "
+                            f"~{(N * 80 + 500_000) // 10**6} MB of stdout)")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
+
+    def test_solve_over_the_row_limit_is_one_line(self, tmp_path, capsys):
+        # clique-only: every vertex 4..2200 is in S, so 2^|S| = 2^2197
+        path = tmp_path / "clique2200.json"
+        inst, ground = generate_from_topology(clique_pairs(2200), "0" * 2197, 1)
+        path.write_text(serialize_instance(inst, ground), encoding="utf-8")
+        code, out, err = self.run(["solve", str(path), "--mode", "all"], capsys)
+        with int_digit_limit(0):
+            message = (f"predicted solutions 2^|S| = {1 << 2197} exceed solve's limit of "
+                       "4194304 rows in mode 'all'")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
+
+    def test_metrics_missing_outcomes_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("outcome,probability\n" + "0" * 2200 + ",1\n", encoding="utf-8")
+        code, out, err = self.run(["metrics", str(path), str(path)], capsys)
+        with int_digit_limit(0):
+            first = ", ".join(int_to_bits(k, 2200) for k in (1, 2, 3))
+            message = f"{path}: missing {(1 << 2200) - 1} of {1 << 2200} outcomes, first {first}"
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.splitlines() == [f"dmdgp: error: {message}"]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 10, 13])
@@ -488,7 +560,8 @@ def test_solve_and_search_never_assemble_points(demo_path, monkeypatch, capsys):
     branch_and_prune = bp.branch_and_prune
     monkeypatch.setattr(bp, "branch_and_prune", recorded)
     assert main(["solve", demo_path]) == EXIT_OK
-    run_search(demo7_instance()[0], None, "nearest", 100, 0, 0.0)
+    inst = demo7_instance()[0]
+    run_search(inst, extract_internal(inst), None, "nearest", 100, 0, 0.0)
     assert len(made) == 2
     assert all("points" not in vars(sols) for sols in made)
 
@@ -500,7 +573,8 @@ def test_solve_and_search_never_assemble_points(demo_path, monkeypatch, capsys):
 def test_report_rows_equal_per_row_formatting(columns):
     width, marked, sampled, weights = columns
     N = 1 << width
-    base = run_search(demo7_instance()[0], None, "nearest", 100, 0, 0.0)
+    inst = demo7_instance()[0]
+    base = run_search(inst, extract_internal(inst), None, "nearest", 100, 0, 0.0)
     report = dataclasses.replace(
         base, n=width + 3, N=N, marked=np.array(marked, dtype=np.int64),
         plan=iteration_count(N, len(marked)),
@@ -514,12 +588,6 @@ def test_report_rows_equal_per_row_formatting(columns):
     head = lines.index("outcome     sampled      ideal") + 1
     assert lines[head:head + N] == expected
     assert lines[head + N].startswith("sampled vs ideal: ")
-
-
-@with_moved_tests
-class TestUnrealizableInstance:
-    """Valid by `validate`, but d(1,4) = 5.9 exceeds the 4.5 that three
-    bonds of 1.5 span, so its torsion cosine lies outside [-1, 1]."""
 
 
 @with_moved_tests

@@ -335,12 +335,13 @@ def test_mirror_index_and_penalties_are_the_whole_tree_walks(inst, delta):
 @example(generate(13, 41003, 0.5))
 def test_grover_marks_the_exhaustive_marked_set(generated):
     inst, _ = generated
-    expected = marked_set(inst, extract_internal(inst), oracle_params(inst.n))
+    internal = extract_internal(inst)
+    expected = marked_set(inst, internal, oracle_params(inst.n))
     if len(expected) == 1 << (inst.n - 3):
         with pytest.raises(CliError, match="nothing to amplify"):
-            run_search(inst, None, "nearest", 64, 0, 0.0)
+            run_search(inst, internal, None, "nearest", 64, 0, 0.0)
         return
-    report = run_search(inst, None, "nearest", 64, 0, 0.0)
+    report = run_search(inst, internal, None, "nearest", 64, 0, 0.0)
     assert report.marked.dtype == np.int64 and not report.marked.flags.writeable
     assert tuple(report.marked.tolist()) == expected
     assert report.plan.M == len(report.marked)

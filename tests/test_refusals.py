@@ -39,7 +39,7 @@ def _ic(bonds=(1.5, 1.5, 1.5), angles=(1.9, 1.9), cosines=(0.5,)):
 
 
 def _report(**changes):
-    return dataclasses.replace(run_search(_demo()[0], None, "nearest", 100, 0, 0.0), **changes)
+    return dataclasses.replace(run_search(*_demo(), None, "nearest", 100, 0, 0.0), **changes)
 
 
 def _marked_set_of_another_n():
