@@ -26,13 +26,18 @@ def int_to_bits(k: int, width: int) -> str:
     return format(k, f"0{width}b")
 
 
-def all_bits(width: int) -> list[str]:
-    """int_to_bits(k, width) for every k in 0..2^width - 1, in order: one
+def bitstrings(width: int, start: int, stop: int) -> list[str]:
+    """int_to_bits(k, width) for every k in start..stop - 1, in order: one
     byte array of digit rows, decoded and split once, rather than one
     format call per index."""
-    rows = np.full((1 << width, width + 1), ord("\n"), dtype=np.uint8)
-    _bit_digits(np.arange(1 << width), width, rows[:, :width])
+    rows = np.full((stop - start, width + 1), ord("\n"), dtype=np.uint8)
+    _bit_digits(np.arange(start, stop), width, rows[:, :width])
     return rows.tobytes().decode("ascii").split()
+
+
+def all_bits(width: int) -> list[str]:
+    """int_to_bits(k, width) for every k in 0..2^width - 1, in order."""
+    return bitstrings(width, 0, 1 << width)
 
 
 def _bit_digits(k: np.ndarray, width: int, out: np.ndarray) -> None:

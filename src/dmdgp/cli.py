@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bp, geometry, grover, metrics, oracle
-from .bitstrings import _bit_digits, all_bits, decimal_text, int_to_bits
+from .bitstrings import _bit_digits, all_bits, bitstrings, decimal_text, int_to_bits
 from .instance import (
     DmdgpInstance,
     ParseError,
@@ -82,9 +82,24 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; remap to the usage code, in one line."""
+    """argparse exits with 2 on bad usage; remap to the usage code, in one line.
+
+    argparse reports a missing argument before an unknown option, so an
+    option-like string that begins no option of the parser is named first.
+    A negative number is a value, as argparse takes it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
+        if message.startswith("the following arguments are required"):
+            unknown = [arg for arg in self._given if arg.startswith("-")
+                       and not self._negative_number_matcher.match(arg)
+                       and not any(option.startswith(arg.partition("=")[0])
+                                   for option in self._option_string_actions)]
+            if unknown:
+                message = f"unrecognized arguments: {' '.join(unknown)}"
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -193,23 +208,41 @@ def _load_distribution(path: str) -> np.ndarray:
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of a 1-D array and, per entry, its index among
-    them.  Entries are told apart by bit pattern, not by ==, so two entries
-    share an index only when they print alike (-0.0 and 0.0 do not)."""
-    keys, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    return keys.view(values.dtype), inverse
+    """The distinct entries of a 1-D array, ascending by bit pattern, and,
+    per entry, its index among them: np.unique's keys and inverse, from one
+    sort and a binary search.  Entries are told apart by bit pattern, not by
+    ==, so two entries share an index only when they print alike (-0.0 and
+    0.0 do not)."""
+    bits = values.view(f"u{values.itemsize}")
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)  # where each run of one pattern starts
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    return keys.view(values.dtype), np.searchsorted(keys, bits)
 
 
-def _rows(labels: Sequence[str], *columns: tuple[Sequence[str], np.ndarray]) -> str:
-    """Rows `  {label}` then texts[inverse[k]] of each (texts, inverse) column,
-    joined by newlines: one join over an interleaved list, no per-row format."""
-    rows = min(len(labels), *(len(inverse) for _, inverse in columns))
+#: The N-row tables are written this many rows at a time.
+_BLOCK_ROWS = 1 << 16
+
+
+def _rows(width: int, *columns: tuple[Sequence[str], np.ndarray]) -> None:
+    """Write to stdout one row per outcome k of the columns: `  {bits of k}`,
+    then texts[inverse[k]] of each (texts, inverse) column, then a newline.
+    Each block of rows is one join over an interleaved list, with no per-row
+    format, so only a block's labels and text are ever held."""
     step = 2 + len(columns)
-    parts = ["\n  "] * (step * rows)
-    parts[1::step] = labels[:rows]
-    for at, (texts, inverse) in enumerate(columns, start=2):
-        parts[at::step] = np.array(texts, dtype=object)[inverse[:rows]].tolist()
-    return "".join(parts)[1:]
+    columns = [(np.array(texts, dtype=object), inverse) for texts, inverse in columns]
+    size = len(columns[0][1])
+    for start in range(0, size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, size)
+        parts = ["\n  "] * (step * (stop - start))
+        parts[0] = "  "
+        parts[1::step] = bitstrings(width, start, stop)
+        for at, (texts, inverse) in enumerate(columns, start=2):
+            parts[at::step] = texts[inverse[start:stop]].tolist()
+        parts.append("\n")
+        sys.stdout.write("".join(parts))
 
 
 #: The digits of 0..9999, four ASCII bytes each, zero-padded: every
@@ -302,19 +335,20 @@ def solution_table(width: int, index: np.ndarray | Sequence[int], penalties: np.
     return table.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def histogram_text(labels: Sequence[str], values: np.ndarray) -> str:
-    """One `  label  value  bars` row per entry, 40 bars at the peak; the text
-    after the label depends only on the value and is built once per distinct value."""
-    peak = float(values.max()) if len(values) else 1.0
+def histogram_text(width: int, ranked: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write one `  bits  value  bars` row per outcome of a column that
+    `_distinct` ranked, 40 bars at the peak; the text after the label
+    depends only on the value and is built once per distinct value."""
+    distinct, inverse = ranked
+    peak = float(distinct.max()) if len(distinct) else 1.0
     scale = 40 / peak if peak > 0 else 0.0
-    distinct, inverse = _distinct(values)
     # 40 / peak overflows for a peak below ~40 / DBL_MAX, where a nonnegative
     # value's share of the peak stays finite
     lengths = distinct * scale if scale < math.inf else np.maximum(distinct, 0) / peak * 40
     # np.rint rounds half to even, as Python's round does
     bars = np.maximum(np.rint(lengths), 0).astype(int).tolist()
     tails = list(map("  {:9.6f}  {}".format, distinct.tolist(), map("#".__mul__, bars)))
-    return _rows(labels, (tails, inverse))
+    _rows(width, (tails, inverse))
 
 
 def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]],
@@ -491,13 +525,18 @@ def run_search(inst: DmdgpInstance, internal: geometry.InternalCoords, iters: in
     )
 
 
-def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarray) -> str:
+def render_run_report(report: RunReport, freqs: np.ndarray,
+                      sampled: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the report to stdout up to the histogram: the run, the outcome
+    table of `freqs` (ranked by `_distinct` as `sampled`) against the ideal
+    distribution, and the metrics."""
     n_bits = report.n - 3
     lines = [
         f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
         f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
         f"2^|S| = {1 << len(report.symmetry_vertices)}, marked M = {len(report.marked)}",
-        "marked candidates: " + ", ".join(f"{labels[m]}({m})" for m in report.marked),
+        "marked candidates: " + ", ".join(f"{int_to_bits(m, n_bits)}({m})"
+                                          for m in report.marked.tolist()),
         f"plan: mode={report.plan.mode}, theta={report.plan.theta:.6f}, "
         f"k_raw={report.plan.k_raw:.4f}, k={report.iters}"
         + ("" if report.iters == report.plan.k else " (explicit)"),
@@ -511,21 +550,18 @@ def render_run_report(report: RunReport, labels: Sequence[str], freqs: np.ndarra
         f"frequency={float(sum(freqs[m] for m in report.marked)):.6f}"
     )
     lines.append("outcome     sampled      ideal")
+    print("\n".join(lines))
     # the sampled and ideal columns hold few distinct values, each formatted once
     columns = [(list(map("  {:9.6f}".format, keys.tolist())), inverse)
-               for keys, inverse in map(_distinct, (freqs, report.ideal.probabilities))]
-    star = np.bincount(report.marked, minlength=report.N)  # 1 at each marked outcome
-    lines.append(_rows(labels, *columns, (["", " *"], star)))
+               for keys, inverse in (sampled, _distinct(report.ideal.probabilities))]
+    star = np.zeros(report.N, dtype=np.uint8)  # 1 at each marked outcome
+    star[report.marked] = 1
+    _rows(n_bits, *columns, (["", " *"], star))
     q = report.quality
-    lines.append(
-        f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
-        f"hellinger={q.hellinger:.6f} fidelity_h={q.fidelity_h:.6f}"
-    )
+    print(f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
+          f"hellinger={q.hellinger:.6f} fidelity_h={q.fidelity_h:.6f}")
     sel_text = "inf" if q.selectivity == math.inf else f"{q.selectivity:.4f}"
-    lines.append(
-        f"sampled selectivity={sel_text}, success probability={q.success_probability:.6f}"
-    )
-    return "\n".join(lines)
+    print(f"sampled selectivity={sel_text}, success probability={q.success_probability:.6f}")
 
 
 def cmd_grover(args: argparse.Namespace) -> int:
@@ -545,19 +581,19 @@ def cmd_grover(args: argparse.Namespace) -> int:
     except bp.NoSolutionError:
         print("oracle marks no candidate (inconsistent instance)")
         return EXIT_NO_SOLUTION
-    labels = all_bits(report.n - 3)
     freqs = report.counts.frequencies()
-    print(render_run_report(report, labels, freqs))
+    sampled = _distinct(freqs)  # ranked once, for the table and the histogram
+    render_run_report(report, freqs, sampled)
     if args.svg:
         svg = histogram_svg(
-            labels,
+            all_bits(report.n - 3),
             [("sampled", freqs), ("ideal", report.ideal.probabilities)],
             f"search outcomes, N={report.N}, k={report.iters}",
         )
         _write_text(args.svg, svg)
         print(f"wrote histogram to {args.svg}")
     else:
-        print(histogram_text(labels, freqs))
+        histogram_text(report.n - 3, sampled)
     return EXIT_OK
 
 

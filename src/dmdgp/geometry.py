@@ -180,16 +180,17 @@ def _branch_matrices(internal: InternalCoords) -> np.ndarray:
     theta = internal.angles[1:].tolist()
     ct = np.fromiter(map(math.cos, theta), dtype=float, count=cw.size)
     st = np.fromiter(map(math.sin, theta), dtype=float, count=cw.size)
-    zero, one = np.zeros_like(cw), np.ones_like(cw)
     root = np.sqrt(np.maximum(0.0, 1.0 - cw * cw))
-
-    def branch(sw):
-        return np.stack([-ct, -st, zero, -d * ct,
-                         st * cw, -ct * cw, -sw, d * st * cw,
-                         st * sw, -ct * sw, cw, d * st * sw,
-                         zero, zero, zero, one], axis=-1).reshape(-1, 4, 4)
-
-    return np.stack([branch(root), branch(-root)], axis=1)
+    out = np.zeros((cw.size, 2, 4, 4))
+    # each entry written into its slice: rows 0 and 3 and the cos-omega
+    # terms are the same on both branches
+    m = out.transpose(2, 3, 1, 0)  # m[row, column] is a (2, n-3) view
+    m[0, 0], m[0, 1], m[0, 3] = -ct, -st, -d * ct
+    m[1, 0], m[1, 1], m[1, 3], m[2, 2] = st * cw, -ct * cw, d * st * cw, cw
+    m[3, 3] = 1.0
+    for b, sw in enumerate((root, -root)):
+        m[1, 2, b], m[2, 0, b], m[2, 1, b], m[2, 3, b] = -sw, st * sw, -ct * sw, d * st * sw
+    return out
 
 
 def realize(internal: InternalCoords, bits: str) -> Conformation:

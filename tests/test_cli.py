@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import fractions
+import hashlib
+import io
 import math
 import re
 import struct
@@ -35,6 +37,7 @@ from dmdgp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GROVER_MAX_ITERS,
+    _distinct,
     _parse_iters,
     _sci3,
     histogram_text,
@@ -45,7 +48,7 @@ from dmdgp.cli import (
     save_distribution_csv,
     solution_table,
 )
-from dmdgp.bitstrings import _bit_digits, all_bits, int_to_bits
+from dmdgp.bitstrings import _bit_digits, all_bits, bitstrings, int_to_bits
 from dmdgp.grover import Distribution, iteration_count
 from dmdgp.instance import ParseError, clique_pairs
 
@@ -94,10 +97,6 @@ MOVED = {
                 (12, 1, "grover-n12-seed5"), (12, 1, "grover-n12-noise"),
                 (13, 2, "grover-n13-seed5"), (13, 2, "grover-n13-noise"),
                 (14, 3, "grover-n14-seed5"), (14, 3, "grover-n14-noise")])},
-        "test_n17_output_is_pinned": {
-            f"flags{k}-{contract.ROW[row].out}": row
-            for k, row in enumerate(["grover-n17-seed5", "grover-n17-noise"])},
-        "test_generated_svg_is_pinned": "grover-n13-svg",
         "test_generated_solve_output_is_pinned": "solve-clique13",
         "test_generated_n15_solve_output_is_pinned": "solve-clique15",
     },
@@ -423,6 +422,12 @@ def test_outcome_labels_equal_per_index_formatting(width):
     assert all_bits(width) == [int_to_bits(k, width) for k in range(1 << width)]
 
 
+@pytest.mark.parametrize("width, start, stop", [(1, 1, 2), (3, 2, 2), (13, 4095, 8192),
+                                                (17, 1 << 16, (1 << 16) + 5)])
+def test_labels_of_a_range_equal_per_index_formatting(width, start, stop):
+    assert bitstrings(width, start, stop) == [int_to_bits(k, width) for k in range(start, stop)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 63).flatmap(lambda width: st.tuples(
     st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=20))))
@@ -500,6 +505,31 @@ tied_values = st.lists(st.sampled_from(TIES) | st.floats(1e-3, 2.0) | st.floats(
                        | st.floats(5e-324, 1e-300), max_size=40)
 
 
+def _bits_of_float(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+#: Bit patterns of TIES, the infinities, subnormals, and NaNs with payloads
+#: and either sign.
+SPECIAL_PATTERNS = [*map(_bits_of_float, TIES + [math.inf, -math.inf, 5e-324, -5e-324,
+                                                 2.2250738585072009e-308]),
+                    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                    0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL_PATTERNS) | st.integers(0, (1 << 64) - 1), max_size=40))
+@example([])
+@example(SPECIAL_PATTERNS * 2)
+def test_distinct_equals_unique_of_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    keys, inverse = _distinct(values)
+    expected_keys, expected_inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    assert keys.dtype == values.dtype
+    assert keys.tobytes() == expected_keys.tobytes()
+    assert np.array_equal(inverse, expected_inverse)
+
+
 def reference_histogram(labels, values, width=40):
     """histogram_text as one str.format per row."""
     peak = float(values.max()) if len(values) else 1.0
@@ -508,8 +538,22 @@ def reference_histogram(labels, values, width=40):
     def bar(v):
         return "#" * max(round(v * scale if scale < math.inf else max(v, 0) / peak * width), 0)
 
-    return "\n".join("  {}  {:9.6f}  {}".format(label, v, bar(v))
-                     for label, v in zip(labels, values.tolist()))
+    return "".join("  {}  {:9.6f}  {}\n".format(label, v, bar(v))
+                   for label, v in zip(labels, values.tolist()))
+
+
+def written(fn, *args):
+    """What fn(*args) writes to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fn(*args)
+    return out.getvalue()
+
+
+def histogram_of(values):
+    """(labels, histogram_text's rows) of `values`, labelled with as few bits as hold them."""
+    width = max(len(values) - 1, 1).bit_length()
+    return bitstrings(width, 0, len(values)), written(histogram_text, width, _distinct(values))
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,8 +566,8 @@ def reference_histogram(labels, values, width=40):
 @example([-1.0, 5e-324])
 def test_histogram_text_equals_per_row_formatting(values):
     values = np.array(values, dtype=float)
-    labels = [f"k{k}" for k in range(values.size)]
-    assert histogram_text(labels, values) == reference_histogram(labels, values)
+    labels, text = histogram_of(values)
+    assert text == reference_histogram(labels, values)
 
 
 @pytest.mark.parametrize("values, bars", [
@@ -534,8 +578,16 @@ def test_histogram_text_equals_per_row_formatting(values):
 ])
 def test_histogram_text_scales_subnormal_peaks(values, bars):
     # 40 / peak is inf here; the bars still measure each value's share of the peak
-    rows = histogram_text([f"k{k}" for k in range(len(values))], np.array(values)).split("\n")
+    rows = histogram_of(np.array(values))[1].splitlines()
     assert [len(row) - len(row.rstrip("#")) for row in rows] == bars
+
+
+def test_histogram_text_writes_blocks_of_rows(monkeypatch):
+    # three blocks of two rows and one of one, each row whole
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    values = np.array([0.0, 0.25, -0.0, 1.0, 0.25, 0.5, 0.0])
+    labels, text = histogram_of(values)
+    assert text == reference_histogram(labels, values)
 
 
 @st.composite
@@ -584,10 +636,45 @@ def test_report_rows_equal_per_row_formatting(columns):
     expected = ["  {}  {:9.6f}  {:9.6f}{}".format(labels[k], freqs[k], ideal[k],
                                                   " *" if k in marked else "")
                 for k in range(N)]
-    lines = render_run_report(report, labels, freqs).split("\n")
+    lines = written(render_run_report, report, freqs, _distinct(freqs)).split("\n")
     head = lines.index("outcome     sampled      ideal") + 1
     assert lines[head:head + N] == expected
     assert lines[head + N].startswith("sampled vs ideal: ")
+
+
+class _HashingSink:
+    """A stdout that keeps only the size and SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_grover_holds_no_n_row_text(tmp_path, capsys):
+    # N = 2^19: the tables go out in blocks, so peak memory is the run's
+    # N-length arrays, not its N labels or rows; whole-N tables take ~257 B
+    # per outcome
+    path = tmp_path / "g22.json"
+    assert main(["gen", "--n", "22", "--seed", "1", "--out", str(path)]) == EXIT_OK
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["grover", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert (sink.size, sink.sha.hexdigest()) == (
+        41419365, "af4e603d3321ef580292762ceb88157eef97655f537037b928dabd913c51c7d4")
+    assert peak <= 120 << 19
 
 
 @with_moved_tests

@@ -197,8 +197,9 @@ ROWS = [
           "cannot read /nonexistent/inst.json: [Errno 2] No such file or directory: "
           "'/nonexistent/inst.json'"),
     fails("solve-tol", ("solve", DEMO, "--tol", "0"), USAGE, "unrecognized arguments: --tol 0"),
+    # an unknown option is named before the missing instance
     Row("solve-unknown-flag", ("solve", "--frobnicate"), USAGE,
-        ("dmdgp solve: error: the following arguments are required: instance",)),
+        ("dmdgp solve: error: unrecognized arguments: --frobnicate",)),
     fails("solve-oops", ("solve", "oops.json"), DATA, "oops.json: invalid JSON at line 1, "
           "column 2: Expecting property name enclosed in double quotes"),
     fails("solve-bigweight", ("solve", "bigweight.json"), DATA,
@@ -233,6 +234,9 @@ ROWS = [
         out=Sha("95c881af376ccc112d7802d67d0b3f2d8d245bd1e4bd073943bd0461c14d45d7")),
     Row("grover-n17-noise", ("grover", Gen(17, 2, "0.5"), "--noise", "0.3", "--seed", "5"),
         out=Sha("bfd5723fb918d2a5aeea22d70e1428c1bc4d4cbea7b34ff985716bcfe471dbd4")),
+    # N = 2^17: each table is written as two blocks of 2^16 rows
+    Row("grover-n20-seed5", ("grover", Gen(20, 1, "0.5"), "--seed", "5"),
+        out=Sha("b5d72242ac310764ec493815dc7359e7d2c361715c0f9b2706e83735afd7947d")),
     Row("grover-n13-svg", ("grover", Gen(13, 2, "0.5"), "--seed", "5", "--svg", "hist.svg"),
         out=Sha("c2710b453bceb4de6702437e55e5166bc71842a48b9b35cf4541a76cd6a7efef"),
         writes=("hist.svg", Sha("9d5018921c8b744d15ea4ec4e06a044cf6787bd69f7ee2fabd37045e96f722bd"))),
@@ -256,6 +260,9 @@ ROWS = [
           "--shots must be below 2^63"),
     fails("grover-seed-negative", ("grover", DEMO, "--seed", "-1"), USAGE,
           "--seed must be nonnegative"),
+    # -1 is the value of --seed, not an unknown option
+    Row("grover-seed-negative-no-instance", ("grover", "--seed", "-1"), USAGE,
+        ("dmdgp grover: error: the following arguments are required: instance",)),
 
     # oracle-scan: every candidate's penalty, normalized value and bit
     Row("oracle-scan-demo7", ("oracle-scan", DEMO),
