@@ -54,12 +54,12 @@ _BYTE_DIGITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + 
 
 
 def bits_to_int(bits: str) -> int:
-    if not bits or any(c not in "01" for c in bits):
+    if not bits or bits.strip("01"):
         raise ValueError(f"not a binary string: {bits!r}")
     return int(bits, 2)
 
 
 def check_bits(bits: str, width: int) -> str:
-    if len(bits) != width or any(c not in "01" for c in bits):
+    if len(bits) != width or bits.strip("01"):
         raise ValueError(f"expected a {width}-bit binary string, got {bits!r}")
     return bits

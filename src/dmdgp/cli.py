@@ -59,10 +59,12 @@ VIOLATIONS_SHOWN = 10
 
 #: `grover` holds several N-length arrays, prints two N-row tables and runs
 #: no scan, so its one size limit is 2^22 outcomes (n <= 25).  Its message
-#: estimates the run from per-outcome costs measured at N = 2^19 (n = 22)
-#: with stdout held in memory: 300-330 B of peak RSS and 79 B of stdout.
+#: estimates the run from per-outcome costs measured at that limit: peak RSS
+#: of 221 MB, 55 B per outcome, in a fresh process whose stdout, written in
+#: blocks, goes to /dev/null (41-48 B per added outcome from 2^20 to 2^22),
+#: and 79 B of stdout.
 GROVER_MAX_OUTCOMES = 1 << 22
-GROVER_BYTES_PER_OUTCOME = 300
+GROVER_BYTES_PER_OUTCOME = 55
 GROVER_STDOUT_BYTES_PER_OUTCOME = 80
 
 #: `solve --mode all` keeps an index and a penalty per solution and prints a
@@ -493,7 +495,7 @@ def run_search(inst: DmdgpInstance, internal: geometry.InternalCoords, iters: in
     """
     N = 1 << (inst.n - 3)
     if N > GROVER_MAX_OUTCOMES:
-        # MB rounded in integers: from n = 1019 on, N * 300 overflows a float
+        # MB rounded in integers: from n = 1021 on, N * 80 overflows a float
         memory, stdout = (decimal_text((N * b + 500_000) // 10**6)
                           for b in (GROVER_BYTES_PER_OUTCOME, GROVER_STDOUT_BYTES_PER_OUTCOME))
         raise CliError(

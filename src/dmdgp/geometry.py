@@ -27,6 +27,15 @@ import numpy as np
 
 from .bitstrings import check_bits
 
+try:
+    # `np.einsum` with its default optimize=False returns exactly what this C
+    # entry returns; `_terms` calls it directly to skip the __array_function__
+    # dispatch, ~1 us of a ~3 us call on the walk's operands.  The name is
+    # private to numpy, so a numpy that moves it gets the public function.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover
+    _einsum = np.einsum
+
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import DmdgpInstance
 
@@ -233,16 +242,25 @@ def _sign_blocks(internal: InternalCoords,
     the 1 child at vertex v adds 2^(n-v), so an index is exact at any depth:
     int64 while n - 3 <= 63, Python ints (dtype object) past that.
 
+    Both steps read one table built before the walk: levels[v] holds the
+    (2, 4, 4) pair B_v^0, B_v^1 of `_branch_matrices` and the (u, d^2) of
+    the edges v closes, so a level costs one list lookup.  `_terms` calls
+    numpy's C einsum entry, which `np.einsum` itself returns with its
+    default optimize=False, and so skips the dispatch layer; the public
+    function is the fallback on a numpy without that entry.
+
     A block of one row is not doubled but extended in place, the common
     case on a deep chain, whose tree is mostly a path: one product gives
     both children's Q, their terms come from one (2, e, 3) difference with
     the row, and the one child below delta writes its point into the row
     and its bit into the row's index, a Python int.  The row's g is a
-    Python float, whose sum is the array add's, and a level that closes no
-    edge forms no difference at all, so `realize` costs one product per
-    vertex.  The run ends at the leaf, at a dead row, or when both children
-    survive: they become a block of two rows.  Its rows are the doubling
-    step's, bit for bit, and a yielded row is never written again.
+    Python float, whose sum is the array add's, and the two children are
+    tested as two Python bools, against the prefix only while v lies under
+    it.  A level that closes no edge forms no difference at all, so
+    `realize` costs one product per vertex.  The run ends at the leaf, at a
+    dead row, or when both children survive: they become a block of two
+    rows.  Its rows are the doubling step's, bit for bit, and a yielded row
+    is never written again.
 
     `prefix`, a sign word of at most n - 3 bits, limits the walk to the
     subtree under it: at a vertex it names, a row's two children are formed
@@ -252,15 +270,16 @@ def _sign_blocks(internal: InternalCoords,
     one row, so the prefix's levels are one-row steps.
     """
     n = internal.n
-    # (u, d^2) of the edges vertex i closes at closes[i]; past the root all
-    # of them end at vertex i.  Vertex 3 closes those of the fixed root too.
+    # the edges sorted by their later endpoint, those vertex i closes from
+    # starts[i - 3]; vertex 3 closes those of the fixed root too
     later = np.maximum(edges[1], 2)
     by_later = np.argsort(later, kind="stable")
     u, w, d2 = (a[by_later] for a in edges)
     starts = np.searchsorted(later[by_later], np.arange(2, n + 1)).tolist()
-    closes = [None] * 3 + [(u[s:e], d2[s:e]) for s, e in zip(starts, starts[1:])]
-    # B_v of the 0 and the 1 child of branching vertex v at branches[v - 4]
-    branches = _branch_matrices(internal)
+    # levels[v] of branching vertex v: B_v of its 0 and its 1 child, and the
+    # (u, d^2) of the edges it closes, all of which end at v
+    levels = [None] * 4 + [(b, u[s:e], d2[s:e])
+                           for b, s, e in zip(_branch_matrices(internal), starts[1:], starts[2:])]
 
     # the fixed root: x1 at the origin, x2 and x3 from B_2 and B_2 B_3
     q2 = b_matrix(2, internal)
@@ -281,38 +300,43 @@ def _sign_blocks(internal: InternalCoords,
                 qs, block, gs, index = qs[:h], block[:h], gs[:h], index[:h]
             if gs.size == 1 and v < n:  # one row: extend it in place
                 q, row, g, k = qs[0], block[0], gs.item(), index.item()
-                live = [0]
-                while v < n and len(live) == 1:
+                while v < n:
                     v += 1
-                    us, d2s = closes[v]
-                    kids = q @ branches[v - 4]
-                    xs, gk = kids[:, :3, 3], [g, g]
+                    b, us, d2s = levels[v]
+                    kids = q @ b
+                    g0 = g1 = g
                     if d2s.size:  # the children's terms, from their differences with the row
-                        terms = _terms(row.take(us, axis=0) - xs[:, None], d2s)
-                        gk = [g + t for t in terms.tolist()]
-                    bit = prefix[v - 4:v - 3]  # the child the prefix names, "" past it
-                    live = [c for c, t in enumerate(gk) if t < delta and bit in "01"[c]]
-                    if len(live) == 1:
-                        c, = live
-                        q, g, row[v - 1] = kids[c], gk[c], xs[c]
-                        k |= c << (n - v)
-                if not live:  # the row is dead
-                    break
-                if len(live) == 2:  # both children: a block of two rows
-                    qs, gs, index = kids, np.array(gk), np.array([k, k | 1 << (n - v)], index.dtype)
+                        t0, t1 = _terms(row.take(us, axis=0) - kids[:, None, :3, 3], d2s).tolist()
+                        g0, g1 = g + t0, g + t1
+                    live0, live1 = g0 < delta, g1 < delta
+                    if v - 4 < len(prefix):  # only the child the prefix names may live
+                        live0, live1 = live0 and prefix[v - 4] == "0", live1 and prefix[v - 4] == "1"
+                    if live0 == live1:  # both children or neither: the run ends
+                        break
+                    if live1:
+                        q, g = kids[1], g1
+                        k |= 1 << (n - v)
+                    else:
+                        q, g = kids[0], g0
+                    row[v - 1] = q[:3, 3]
+                if live0 != live1:  # the leaf
+                    qs, gs, index = q[None], np.array([g]), np.array([k], index.dtype)
+                elif live0:  # both children: a block of two rows
+                    qs, gs, index = kids, np.array([g0, g1]), np.array([k, k | 1 << (n - v)], index.dtype)
                     block = block.repeat(2, axis=0)
-                    block[:, v - 1] = xs
+                    block[:, v - 1] = kids[:, :3, 3]
                     continue
-                qs, gs, index = q[None], np.array([g]), np.array([k], index.dtype)
+                else:  # the row is dead
+                    break
             if v == n:
                 yield index, block, gs
                 break
             v += 1
-            qs = np.matmul(qs[:, None], branches[v - 4]).reshape(-1, 4, 4)
+            b, us, d2s = levels[v]
+            qs = np.matmul(qs[:, None], b).reshape(-1, 4, 4)
             block, gs = block.repeat(2, axis=0), gs.repeat(2)
             index = np.add.outer(index, np.array([0, 1 << (n - v)], index.dtype)).ravel()
             block[:, v - 1] = qs[:, :3, 3]
-            us, d2s = closes[v]
             gs = gs + _terms(block.take(us, axis=1) - block[:, v - 1:v], d2s)
             kept = (gs < delta).nonzero()[0]
             if kept.size < gs.size:
@@ -342,8 +366,9 @@ def _terms(diff: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """The penalty kernel: sum over e of (|diff[k, e]|^2 - d2[e])^2 per row k
     of the edge difference vectors diff (K, e, 3).  `penalties` and both
     steps of the sign-tree walk sum their terms here, so they agree bit for bit."""
-    residual = np.einsum("kej,kej->ke", diff, diff) - d2
-    return np.einsum("ke,ke->k", residual, residual)
+    residual = _einsum("kej,kej->ke", diff, diff)
+    residual -= d2
+    return _einsum("ke,ke->k", residual, residual)
 
 
 def _distances(points: np.ndarray, u: int | np.ndarray, v: int | np.ndarray) -> np.ndarray:

@@ -299,14 +299,14 @@ class TestGrover:
         assert _parse_iters("4194304") == GROVER_MAX_ITERS == 4194304
 
     def test_far_over_the_limit_is_one_data_error_line(self, tmp_path, capsys):
-        # N * 300 B passes the largest double from n = 1019 on
+        # N * 80 B passes the largest double from n = 1021 on
         inst, gt = generate(1100, 1, 0.5)
         path = tmp_path / "n1100.json"
         path.write_text(serialize_instance(inst, gt), encoding="utf-8")
         assert main(["grover", str(path)]) == EXIT_DATA
         out, err = capsys.readouterr()
         N = 1 << 1097
-        memory, stdout = (round(fractions.Fraction(N * b, 10**6)) for b in (300, 80))
+        memory, stdout = (round(fractions.Fraction(N * b, 10**6)) for b in (55, 80))
         assert out == ""
         assert err.splitlines() == [
             f"dmdgp: error: search space {N} exceeds grover's limit of 4194304 outcomes "
@@ -339,7 +339,7 @@ class TestGrover:
         assert out == ""
         assert err.splitlines() == [
             "dmdgp: error: search space 8388608 exceeds grover's limit of 4194304 "
-            "outcomes (~2517 MB of memory and ~671 MB of stdout)"
+            "outcomes (~461 MB of memory and ~671 MB of stdout)"
         ]
 
 
@@ -389,7 +389,7 @@ class TestIntDigitLimit:
             N = 1 << 2197
             message = (f"search space {N} exceeds scan cap {1 << 24}" if command == "oracle-scan"
                        else f"search space {N} exceeds grover's limit of 4194304 outcomes "
-                            f"(~{(N * 300 + 500_000) // 10**6} MB of memory and "
+                            f"(~{(N * 55 + 500_000) // 10**6} MB of memory and "
                             f"~{(N * 80 + 500_000) // 10**6} MB of stdout)")
         assert (code, out) == (EXIT_DATA, "")
         assert err.splitlines() == [f"dmdgp: error: {message}"]

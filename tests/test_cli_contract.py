@@ -246,7 +246,7 @@ ROWS = [
           "oracle marks all 8 candidates: nothing to amplify"),
     fails("grover-over-scan-cap", ("grover", Gen(30, 1, "0.5")), DATA,
           "search space 134217728 exceeds grover's limit of 4194304 outcomes "
-          "(~40265 MB of memory and ~10737 MB of stdout)"),
+          "(~7382 MB of memory and ~10737 MB of stdout)"),
     fails("grover-iters-negative", ("grover", DEMO, "--iters", "-2"), USAGE,
           "--iters must be nonnegative"),
     fails("grover-iters-word", ("grover", DEMO, "--iters", "lots"), USAGE,

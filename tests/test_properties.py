@@ -13,7 +13,8 @@ branch-and-prune's half walk and mirror rows are the whole-tree walk's
 (index and penalties alone on 300 planar chains), its points are the
 reference `realize` of each index, byte for byte,
 the branch matrices the walk builds as one array are `b_matrix`'s
-doubles, `b_matrix(3)` (the general step at torsion cosine 1) is the
+doubles, the penalty kernel is the two-stage `np.einsum` formula bit for
+bit in any memory layout, `b_matrix(3)` (the general step at torsion cosine 1) is the
 paper's B_3 and gives the walk's root bit for bit, `realize` (one row of the walk) is the per-vertex reference loop
 bit for bit, the closed-form `quad_end_distance` is the reference chain's
 end-to-end distance, the in-place
@@ -429,6 +430,34 @@ def test_branch_matrices_equal_b_matrix_bit_for_bit(internal):
     branches = _branch_matrices(internal)
     assert branches.shape == reference.shape
     assert np.array_equal(branches.view(np.uint64), reference.view(np.uint64))
+
+
+@st.composite
+def edge_differences(draw):
+    """(diff (K, e, 3), d2 (e,)) as the penalty kernel takes them, in one of
+    four layouts: contiguous, strided on the last axis or on the rows, and
+    transposed; the entries span magnitudes 1e-20..1e20."""
+    K, e = draw(st.sampled_from([1, 2, 256, 512])), draw(st.sampled_from([0, 1, 3, 25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-20, 20))
+    shape, view = draw(st.sampled_from([
+        ((K, e, 3), lambda a: a),  # contiguous
+        ((K, e, 6), lambda a: a[..., ::2]),  # strided on the last axis
+        ((2 * K, e, 3), lambda a: a[::2]),  # strided on the rows
+        ((3, e, K), lambda a: a.transpose(2, 1, 0)),
+    ]))
+    return view(rng.standard_normal(shape) * scale), rng.random(e) * scale ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_differences())
+def test_penalty_kernel_is_the_two_stage_einsum_bit_for_bit(case):
+    diff, d2 = case
+    residual = np.einsum("kej,kej->ke", diff, diff) - d2
+    expected = np.einsum("ke,ke->k", residual, residual)
+    got = geometry._terms(diff, d2)
+    assert got.shape == expected.shape == (diff.shape[0],)
+    assert got.tobytes() == expected.tobytes()
 
 
 def paper_b3(internal):
