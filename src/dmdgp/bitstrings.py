@@ -35,11 +35,6 @@ def bitstrings(width: int, start: int, stop: int) -> list[str]:
     return rows.tobytes().decode("ascii").split()
 
 
-def all_bits(width: int) -> list[str]:
-    """int_to_bits(k, width) for every k in 0..2^width - 1, in order."""
-    return bitstrings(width, 0, 1 << width)
-
-
 def _bit_digits(k: np.ndarray, width: int, out: np.ndarray) -> None:
     """Write the digits of each index's low `width` bits, up to 63, into the
     rows of `out` (K, width): each of the indices' bytes, most significant

@@ -13,7 +13,7 @@ reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -114,13 +114,6 @@ def expand_symmetry(bits: str, sym: SymmetrySet) -> set[str]:
     return {int_to_bits(k ^ f, width) for f in flips}
 
 
-def _leaf_points(internal: InternalCoords, edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 delta: float) -> np.ndarray:
-    """The points of every leaf with penalty below delta: the blocks of the
-    whole-tree walk, joined."""
-    return np.concatenate([block for _, block, _ in _sign_blocks(internal, edges, delta)])
-
-
 def branch_and_prune(
     inst: DmdgpInstance,
     internal: InternalCoords,
@@ -168,7 +161,8 @@ def branch_and_prune(
         top = (1 << (inst.n - 3)) - 1
         ks += [top - k[::-1] for k in reversed(ks)]
         gs += [g[::-1] for g in reversed(gs)]
-        walk = partial(_leaf_points, internal, edges, delta)
+        # the points of every leaf below delta: the whole-tree walk's blocks, joined
+        walk = lambda: np.concatenate([b for _, b, _ in _sign_blocks(internal, edges, delta)])
     if not ks:
         raise NoSolutionError(f"branch-and-prune found no candidate with penalty below {delta:g}")
     index = np.concatenate(ks)

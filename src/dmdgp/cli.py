@@ -30,12 +30,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import bp, geometry, grover, metrics, oracle
-from .bitstrings import _bit_digits, all_bits, bitstrings, decimal_text, int_to_bits
+from .bitstrings import _bit_digits, bitstrings, decimal_text, int_to_bits
 from .instance import (
     DmdgpInstance,
     ParseError,
@@ -62,14 +62,16 @@ VIOLATIONS_SHOWN = 10
 #: estimates the run from per-outcome costs measured at that limit: peak RSS
 #: of 221 MB, 55 B per outcome, in a fresh process whose stdout, written in
 #: blocks, goes to /dev/null (41-48 B per added outcome from 2^20 to 2^22),
-#: and 79 B of stdout.
+#: and 79 B of stdout.  `--svg` stays inside the memory estimate: its text,
+#: made a block at a time too, peaked at the same 221 MB.
 GROVER_MAX_OUTCOMES = 1 << 22
 GROVER_BYTES_PER_OUTCOME = 55
 GROVER_STDOUT_BYTES_PER_OUTCOME = 80
 
-#: `solve --mode all` keeps an index and a penalty per solution and prints a
-#: row each, ~350 B of peak RSS per solution at 2^19 (clique-only n = 22), so
-#: it stops at a predicted 2^22 solutions, as `grover` stops at 2^22 outcomes.
+#: `solve --mode all` keeps an index and a penalty per solution and writes
+#: its table in blocks, so it stops at a predicted 2^22 solutions, as `grover`
+#: stops at 2^22 outcomes: at that limit (clique-only n = 25) a fresh process
+#: whose stdout goes to /dev/null peaks at 150 MB RSS, ~38 B per solution.
 SOLVE_MAX_ROWS = 1 << 22
 
 #: `grover_distribution` loops once per iteration, 0.19-0.30 us each on a
@@ -118,9 +120,10 @@ def _read_text(path: str) -> str:
         raise CliError(EXIT_DATA, f"{path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
@@ -224,8 +227,13 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(values.dtype), np.searchsorted(keys, bits)
 
 
-#: The N-row tables are written this many rows at a time.
+#: Every N-row output is made, written and dropped this many rows at a time.
 _BLOCK_ROWS = 1 << 16
+
+
+def _blocks(size: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of `_BLOCK_ROWS` rows of 0..size - 1, in order."""
+    return ((start, min(start + _BLOCK_ROWS, size)) for start in range(0, size, _BLOCK_ROWS))
 
 
 def _rows(width: int, *columns: tuple[Sequence[str], np.ndarray]) -> None:
@@ -235,9 +243,7 @@ def _rows(width: int, *columns: tuple[Sequence[str], np.ndarray]) -> None:
     format, so only a block's labels and text are ever held."""
     step = 2 + len(columns)
     columns = [(np.array(texts, dtype=object), inverse) for texts, inverse in columns]
-    size = len(columns[0][1])
-    for start in range(0, size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, size)
+    for start, stop in _blocks(len(columns[0][1])):
         parts = ["\n  "] * (step * (stop - start))
         parts[0] = "  "
         parts[1::step] = bitstrings(width, start, stop)
@@ -302,7 +308,7 @@ def _sci3(values: np.ndarray, out: np.ndarray) -> None:
 def solution_table(width: int, index: np.ndarray | Sequence[int], penalties: np.ndarray) -> str:
     """`  bits={}  index={}  penalty={:.3e}` for each row, bits `width`
     wide, each line ending in a newline; `index` is ascending and not empty,
-    such as `SolutionSet.index`, whose int64 array is used as it is.
+    such as a block of `SolutionSet.index`, whose int64 array is used as it is.
 
     The table is one (K, W) byte array: K copies of the fixed text, the
     bit and index digits written from the indices as int64 (as Python
@@ -353,14 +359,16 @@ def histogram_text(width: int, ranked: tuple[np.ndarray, np.ndarray]) -> None:
     _rows(width, (tails, inverse))
 
 
-def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]],
-                  title: str) -> str:
-    """Standalone grouped-bar SVG; no plotting dependency."""
+def histogram_svg(n_bits: int, series: Sequence[tuple[str, np.ndarray]],
+                  title: str) -> Iterator[str]:
+    """Standalone grouped-bar SVG over the 2^n_bits outcomes, no plotting
+    dependency, as text blocks: the header, the bar groups of each block of
+    outcomes, labelled by their bits, then the legend."""
     width, height = 640, 360
     margin_l, margin_r, margin_t, margin_b = 50, 20, 40, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
-    n = len(labels)
+    n = 1 << n_bits
     peak = max(float(vals.max()) for _, vals in series)
     peak = peak if peak > 0 else 1.0
     colors = ["#4878a8", "#d08830", "#609060", "#a05858"]
@@ -384,20 +392,29 @@ def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]
             f'<text x="{margin_l - 6}" y="{y + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{frac * peak:.3f}</text>'
         )
-    for gi, label in enumerate(labels):
+    yield "\n".join(parts) + "\n"
+
+    def group(gi: int, label: str, values: tuple[float, ...]) -> str:
+        """The lines of outcome gi: a bar per series, then its label."""
         x0 = margin_l + gi * group_w + group_w * 0.1
-        for si, (_, vals) in enumerate(series):
-            h = plot_h * float(vals[gi]) / peak
-            x = x0 + si * bar_w
-            y = margin_t + plot_h - h
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
-                f'fill="{colors[si % len(colors)]}"/>'
+        lines = []
+        for si, v in enumerate(values):
+            h = plot_h * v / peak
+            lines.append(
+                f'<rect x="{x0 + si * bar_w:.1f}" y="{margin_t + plot_h - h:.1f}" '
+                f'width="{bar_w:.1f}" height="{h:.1f}" fill="{colors[si % len(colors)]}"/>\n'
             )
-        parts.append(
+        lines.append(
             f'<text x="{margin_l + (gi + 0.5) * group_w:.1f}" y="{height - margin_b + 16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{label}</text>'
+            f'text-anchor="middle" font-family="sans-serif" font-size="11">{label}</text>\n'
         )
+        return "".join(lines)
+
+    for start, stop in _blocks(n):
+        # the join drops its list of groups before the block is written
+        values = zip(*(vals[start:stop].tolist() for _, vals in series))
+        yield "".join(map(group, range(start, stop), bitstrings(n_bits, start, stop), values))
+    parts = []
     for si, (name, _) in enumerate(series):
         x = margin_l + 10 + si * 140
         y = height - 14
@@ -409,7 +426,7 @@ def histogram_svg(labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]
             f'<text x="{x + 18}" y="{y}" font-family="sans-serif" font-size="11">{name}</text>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +438,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         inst, ground = generate(args.n, args.seed, args.long_edge_prob)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    _write_text(args.out, serialize_instance(inst, ground))
+    _write_text(args.out, [serialize_instance(inst, ground)])
     print(f"wrote {args.out}: n={inst.n}, edges={len(inst.edges)}, "
           f"ground bits={ground.bits}")
     return EXIT_OK
@@ -442,7 +459,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("no solution")
         return EXIT_NO_SOLUTION
     print(f"solutions found: {len(solutions)}")
-    print(solution_table(inst.n - 3, solutions.index, solutions.penalties), end="")
+    for start, stop in _blocks(len(solutions)):
+        sys.stdout.write(solution_table(inst.n - 3, solutions.index[start:stop],
+                                        solutions.penalties[start:stop]))
     return EXIT_OK
 
 
@@ -587,12 +606,11 @@ def cmd_grover(args: argparse.Namespace) -> int:
     sampled = _distinct(freqs)  # ranked once, for the table and the histogram
     render_run_report(report, freqs, sampled)
     if args.svg:
-        svg = histogram_svg(
-            all_bits(report.n - 3),
+        _write_text(args.svg, histogram_svg(
+            report.n - 3,
             [("sampled", freqs), ("ideal", report.ideal.probabilities)],
             f"search outcomes, N={report.N}, k={report.iters}",
-        )
-        _write_text(args.svg, svg)
+        ))
         print(f"wrote histogram to {args.svg}")
     else:
         histogram_text(report.n - 3, sampled)
@@ -658,13 +676,15 @@ def cmd_oracle_scan(args: argparse.Namespace) -> int:
     print(f"n={inst.n}, delta={params.delta:g}, epsilon={params.epsilon:g}, "
           f"p1={params.p1:.0f}, p2={params.p2:.4f}")
     print("k     bits      g(h(k))        g/p1           (g/p1)^(1/p2)  f")
+    row = "{:<5d} {:8s}  {:<13.6e}  {:<13.6e}  {:<13.6e}  {}\n".format
     n_marked = 0
-    for first, g in rows:
-        values, f = oracle.oracle_value(params, g).tolist(), oracle.oracle_bit(params, g).tolist()
-        for k, gk, value, fk in zip(range(first, first + g.size), g.tolist(), values, f):
-            n_marked += fk
-            print(f"{k:<5d} {int_to_bits(k, n_bits):8s}  {gk:<13.6e}  {gk / params.p1:<13.6e}  "
-                  f"{value:<13.6e}  {fk}")
+    for first, g in rows:  # one write per walk block
+        f = oracle.oracle_bit(params, g)
+        n_marked += int(f.sum())
+        stop = first + g.size
+        sys.stdout.write("".join(map(row, range(first, stop), bitstrings(n_bits, first, stop),
+                                     g.tolist(), (g / params.p1).tolist(),
+                                     oracle.oracle_value(params, g).tolist(), f.tolist())))
     print(f"marked: {n_marked} of {1 << n_bits}")
     return EXIT_OK
 

@@ -172,6 +172,9 @@ ROWS = [
     # clique-only n = 15: 4096 rows, half of them mirror rows
     Row("solve-clique15", ("solve", Gen(15, 3, "0.0"), "--mode", "all"),
         out=Sha("d568e71c67eb2b8aae6123237a07fb8a0c9c2e38ea5557d775910fbce719d6ed")),
+    # clique-only n = 20: 2^17 rows, written as two blocks of 2^16
+    Row("solve-clique20", ("solve", Gen(20, 1, "0"), "--mode", "all"),
+        out=Sha("aeaf88e926f9848a3bea230ceb9ecd844e7d5981f7ebaa60dbd0c11ede6781de")),
     # 297 sign levels and |S| = 1: indices far past 63 bits
     Row("solve-chain300-all", ("solve", Gen(300, 1, "0.5"), "--mode", "all"),
         out=Sha("5ef4a38a6d4adb2685fd85272bdb28e375319765b88907af2298ab92f405ba53")),
