@@ -26,12 +26,12 @@ def int_to_bits(k: int, width: int) -> str:
     return format(k, f"0{width}b")
 
 
-def bitstrings(width: int, start: int, stop: int) -> list[str]:
-    """int_to_bits(k, width) for every k in start..stop - 1, in order: one
-    byte array of digit rows, decoded and split once, rather than one
-    format call per index."""
-    rows = np.full((stop - start, width + 1), ord("\n"), dtype=np.uint8)
-    _bit_digits(np.arange(start, stop), width, rows[:, :width])
+def bitstrings(width: int, index: np.ndarray) -> list[str]:
+    """int_to_bits(k, width), `width` up to 63, for each k of an integer index
+    array, such as a block's np.arange(start, stop) or a slice of a marked set:
+    one byte array of digit rows, decoded and split once, not a format per index."""
+    rows = np.full((len(index), width + 1), ord("\n"), dtype=np.uint8)
+    _bit_digits(index, width, rows[:, :width])
     return rows.tobytes().decode("ascii").split()
 
 

@@ -59,11 +59,12 @@ VIOLATIONS_SHOWN = 10
 
 #: `grover` holds several N-length arrays, prints two N-row tables and runs
 #: no scan, so its one size limit is 2^22 outcomes (n <= 25).  Its message
-#: estimates the run from per-outcome costs measured at that limit: peak RSS
-#: of 221 MB, 55 B per outcome, in a fresh process whose stdout, written in
-#: blocks, goes to /dev/null (41-48 B per added outcome from 2^20 to 2^22),
-#: and 79 B of stdout.  `--svg` stays inside the memory estimate: its text,
-#: made a block at a time too, peaked at the same 221 MB.
+#: estimates the run from per-outcome costs measured at that limit with a few
+#: marked: peak RSS of 221 MB, 55 B per outcome, in a fresh process whose
+#: stdout, written in blocks, goes to /dev/null (41-48 B per added outcome
+#: from 2^20 to 2^22), and 79 B of stdout.  The largest marked set, M = 2^21,
+#: peaks at ~279 MB, ~70 B per outcome (498 MB with the marked line built
+#: whole).  `--svg`'s text, made a block at a time too, peaked at 221 MB.
 GROVER_MAX_OUTCOMES = 1 << 22
 GROVER_BYTES_PER_OUTCOME = 55
 GROVER_STDOUT_BYTES_PER_OUTCOME = 80
@@ -214,7 +215,7 @@ def _load_distribution(path: str) -> np.ndarray:
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of a 1-D array, ascending by bit pattern, and,
-    per entry, its index among them: np.unique's keys and inverse, from one
+    per entry, its index among them (sorted keys and their inverse), from one
     sort and a binary search.  Entries are told apart by bit pattern, not by
     ==, so two entries share an index only when they print alike (-0.0 and
     0.0 do not)."""
@@ -246,7 +247,7 @@ def _rows(width: int, *columns: tuple[Sequence[str], np.ndarray]) -> None:
     for start, stop in _blocks(len(columns[0][1])):
         parts = ["\n  "] * (step * (stop - start))
         parts[0] = "  "
-        parts[1::step] = bitstrings(width, start, stop)
+        parts[1::step] = bitstrings(width, np.arange(start, stop))
         for at, (texts, inverse) in enumerate(columns, start=2):
             parts[at::step] = texts[inverse[start:stop]].tolist()
         parts.append("\n")
@@ -413,7 +414,8 @@ def histogram_svg(n_bits: int, series: Sequence[tuple[str, np.ndarray]],
     for start, stop in _blocks(n):
         # the join drops its list of groups before the block is written
         values = zip(*(vals[start:stop].tolist() for _, vals in series))
-        yield "".join(map(group, range(start, stop), bitstrings(n_bits, start, stop), values))
+        k = np.arange(start, stop)
+        yield "".join(map(group, k.tolist(), bitstrings(n_bits, k), values))
     parts = []
     for si, (name, _) in enumerate(series):
         x = margin_l + 10 + si * 140
@@ -546,39 +548,36 @@ def run_search(inst: DmdgpInstance, internal: geometry.InternalCoords, iters: in
     )
 
 
-def render_run_report(report: RunReport, freqs: np.ndarray,
-                      sampled: tuple[np.ndarray, np.ndarray]) -> None:
-    """Write the report to stdout up to the histogram: the run, the outcome
-    table of `freqs` (ranked by `_distinct` as `sampled`) against the ideal
-    distribution, and the metrics."""
+def render_run_report(report: RunReport, sampled: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the report to stdout up to the histogram: the run, its marked set
+    a block at a time, the outcome table of the sampled frequencies (ranked
+    by `_distinct` as `sampled`) against the ideal distribution, the metrics."""
     n_bits = report.n - 3
-    lines = [
-        f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}",
-        f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
-        f"2^|S| = {1 << len(report.symmetry_vertices)}, marked M = {len(report.marked)}",
-        "marked candidates: " + ", ".join(f"{int_to_bits(m, n_bits)}({m})"
-                                          for m in report.marked.tolist()),
-        f"plan: mode={report.plan.mode}, theta={report.plan.theta:.6f}, "
-        f"k_raw={report.plan.k_raw:.4f}, k={report.iters}"
-        + ("" if report.iters == report.plan.k else " (explicit)"),
-        f"ideal marked probability: statevector={report.ideal.mass(report.marked):.9f}, "
-        f"closed form={report.closed_form:.9f}",
-    ]
+    print(f"instance: n={report.n}, edges={report.n_edges}, N=2^{n_bits}={report.N}")
+    print(f"symmetry set S = {{{', '.join(str(v) for v in report.symmetry_vertices)}}}; "
+          f"2^|S| = {1 << len(report.symmetry_vertices)}, marked M = {len(report.marked)}")
+    for start, stop in _blocks(len(report.marked)):
+        block = report.marked[start:stop]
+        labels = map("{}({})".format, bitstrings(n_bits, block), block.tolist())
+        sys.stdout.write((", " if start else "marked candidates: ") + ", ".join(labels))
+    print()
+    print(f"plan: mode={report.plan.mode}, theta={report.plan.theta:.6f}, "
+          f"k_raw={report.plan.k_raw:.4f}, k={report.iters}"
+          + ("" if report.iters == report.plan.k else " (explicit)"))
+    print(f"ideal marked probability: statevector={report.ideal.mass(report.marked):.9f}, "
+          f"closed form={report.closed_form:.9f}")
     if report.noise > 0:
-        lines.append(f"uniform noise mix: lambda={report.noise}")
-    lines.append(
-        f"shots: {report.counts.shots} (seed {report.seed}), empirical marked "
-        f"frequency={float(sum(freqs[m] for m in report.marked)):.6f}"
-    )
-    lines.append("outcome     sampled      ideal")
-    print("\n".join(lines))
+        print(f"uniform noise mix: lambda={report.noise}")
+    q = report.quality
+    print(f"shots: {report.counts.shots} (seed {report.seed}), empirical marked "
+          f"frequency={q.success_probability:.6f}")
+    print("outcome     sampled      ideal")
     # the sampled and ideal columns hold few distinct values, each formatted once
     columns = [(list(map("  {:9.6f}".format, keys.tolist())), inverse)
                for keys, inverse in (sampled, _distinct(report.ideal.probabilities))]
     star = np.zeros(report.N, dtype=np.uint8)  # 1 at each marked outcome
     star[report.marked] = 1
     _rows(n_bits, *columns, (["", " *"], star))
-    q = report.quality
     print(f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
           f"hellinger={q.hellinger:.6f} fidelity_h={q.fidelity_h:.6f}")
     sel_text = "inf" if q.selectivity == math.inf else f"{q.selectivity:.4f}"
@@ -604,7 +603,7 @@ def cmd_grover(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
     freqs = report.counts.frequencies()
     sampled = _distinct(freqs)  # ranked once, for the table and the histogram
-    render_run_report(report, freqs, sampled)
+    render_run_report(report, sampled)
     if args.svg:
         _write_text(args.svg, histogram_svg(
             report.n - 3,
@@ -681,8 +680,8 @@ def cmd_oracle_scan(args: argparse.Namespace) -> int:
     for first, g in rows:  # one write per walk block
         f = oracle.oracle_bit(params, g)
         n_marked += int(f.sum())
-        stop = first + g.size
-        sys.stdout.write("".join(map(row, range(first, stop), bitstrings(n_bits, first, stop),
+        k = np.arange(first, first + g.size)
+        sys.stdout.write("".join(map(row, k.tolist(), bitstrings(n_bits, k),
                                      g.tolist(), (g / params.p1).tolist(),
                                      oracle.oracle_value(params, g).tolist(), f.tolist())))
     print(f"marked: {n_marked} of {1 << n_bits}")

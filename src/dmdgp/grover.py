@@ -211,13 +211,14 @@ def _index(m: object) -> int:
 
 
 def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
-    """The distinct marked indices, sorted: a non-empty set in 0..N-1."""
+    """The distinct marked indices, sorted: a non-empty set in 0..N-1.
+    One sort, then the first entry of each run of equal ones."""
     out_of_range = f"marked indices must lie in 0..{N - 1}"
     try:
         if isinstance(marked, np.ndarray) and marked.dtype.kind in "iu":
-            idx = np.unique(marked.astype(np.intp, copy=False))
+            idx = np.sort(marked.astype(np.intp, copy=False), axis=None)
         else:
-            idx = np.unique(np.fromiter(map(_index, marked), dtype=np.intp))
+            idx = np.sort(np.fromiter(map(_index, marked), dtype=np.intp))
     except OverflowError:  # an index that fits no intp
         raise ValueError(out_of_range) from None
     except TypeError:
@@ -226,7 +227,7 @@ def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
         raise ValueError("marked set must not be empty")
     if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(out_of_range)
-    return idx
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
 def _iterate(amps: np.ndarray, idx: np.ndarray, iters: int) -> None:

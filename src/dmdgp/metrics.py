@@ -65,12 +65,11 @@ def _hellinger(pa: np.ndarray, qa: np.ndarray, out: np.ndarray) -> float:
     return math.sqrt(0.5 * float(out.sum()))
 
 
-def _selectivity(probs: np.ndarray, idx: np.ndarray, out: np.ndarray) -> float:
-    """p(marked) over the largest unmarked entry, found in a copy of `probs`
-    in `out` whose marked entries are -inf."""
+def _selectivity(probs: np.ndarray, idx: np.ndarray, p_s: float, out: np.ndarray) -> float:
+    """p_s, the mass of the marked entries `idx`, over the largest unmarked
+    entry, found in a copy of `probs` in `out` whose marked entries are -inf."""
     if idx.size == probs.size:
         raise ValueError("marked set must be a proper subset of the outcomes")
-    p_s = float(probs[idx].sum())
     np.copyto(out, probs)
     out[idx] = -math.inf
     p_ns = float(out.max())
@@ -97,7 +96,8 @@ def selectivity(dist: ProbVector, marked: Iterable[int]) -> float:
     Returns inf when no unsearched outcome carries any probability.
     """
     probs = _as_probs(dist)
-    return _selectivity(probs, _marked_array(probs.size, marked), np.empty(probs.size))
+    idx = _marked_array(probs.size, marked)
+    return _selectivity(probs, idx, float(probs[idx].sum()), np.empty(probs.size))
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ def compare(p: ProbVector, q: ProbVector,
     p_s = None
     if marked is not None:
         idx = _marked_array(pa.size, marked)
-        sel = _selectivity(pa, idx, scratch)
         p_s = float(pa[idx].sum())
+        sel = _selectivity(pa, idx, p_s, scratch)
     return MetricsReport(
         tv_distance=d,
         hellinger=h,

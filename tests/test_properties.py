@@ -51,6 +51,7 @@ from dmdgp import (
 )
 from dmdgp.bp import FIRST_BLOCK_ROWS, NoSolutionError, SymmetrySet
 from dmdgp.cli import CliError, run_search
+from dmdgp.grover import _marked_array
 from dmdgp import geometry
 from dmdgp.geometry import (
     BLOCK_LEVELS,
@@ -582,3 +583,42 @@ def test_grover_distribution_rejects_what_grover_state_rejects(N, marked, iters,
     for run in (grover_distribution, grover_state):
         with pytest.raises(ValueError, match=re.escape(message)):
             run(N, marked, iters)
+
+
+@st.composite
+def marked_inputs(draw):
+    """(N, a marked set as an int64 or a uint64 array or a list, unsorted and
+    with repeats, sometimes empty or reaching past 0..N-1)."""
+    N = 1 << draw(st.integers(1, 10))
+    form = draw(st.sampled_from(["int64", "uint64", "list"]))
+    low = 0 if form == "uint64" else -2
+    values = draw(st.lists(st.integers(low, N + 1) | st.sampled_from([0, N - 1]), max_size=40))
+    return N, values if form == "list" else np.array(values, dtype=form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_inputs())
+@example((8, []))
+@example((8, np.array([], dtype=np.uint64)))
+@example((8, np.array([7, 0, 7, 3, 0], dtype=np.uint64)))
+@example((8, [8, 8, 1]))
+def test_marked_array_equals_np_unique(case):
+    # one sort and a first-of-run mask give np.unique's array, and the
+    # caller's array is left as it was
+    N, marked = case
+    given_copy = np.array(marked, copy=True)
+    values = np.array(marked, dtype=np.int64)
+    if values.size == 0:
+        message = "marked set must not be empty"
+    elif values.min() < 0 or values.max() >= N:
+        message = f"marked indices must lie in 0..{N - 1}"
+    else:
+        message = None
+    if message is None:
+        idx = _marked_array(N, marked)
+        assert idx.dtype == np.intp
+        assert idx.tolist() == np.unique(values).tolist()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _marked_array(N, marked)
+    np.testing.assert_array_equal(np.asarray(marked), given_copy)
