@@ -60,11 +60,13 @@ VIOLATIONS_SHOWN = 10
 #: `grover` holds several N-length arrays, prints two N-row tables and runs
 #: no scan, so its one size limit is 2^22 outcomes (n <= 25).  Its message
 #: estimates the run from per-outcome costs measured at that limit with a few
-#: marked: peak RSS of 221 MB, 55 B per outcome, in a fresh process whose
-#: stdout, written in blocks, goes to /dev/null (41-48 B per added outcome
-#: from 2^20 to 2^22), and 79 B of stdout.  The largest marked set, M = 2^21,
-#: peaks at ~279 MB, ~70 B per outcome (498 MB with the marked line built
-#: whole).  `--svg`'s text, made a block at a time too, peaked at 221 MB.
+#: marked: 55 B of peak RSS per outcome, in a fresh process whose stdout goes
+#: to /dev/null (221 MB when the tables were joined text), and 79 B of
+#: stdout.  With the tables written as byte-table blocks the run peaks at
+#: 193-195 MB, ~49 B per outcome, while the report ranks its ideal column
+#: (66-67 MB at n = 22).  The largest marked set, M = 2^21, peaks at
+#: ~259 MB, ~65 B per outcome (498 MB with the marked line built whole).
+#: `--svg`'s text, made a block at a time too, peaked at 221 MB.
 GROVER_MAX_OUTCOMES = 1 << 22
 GROVER_BYTES_PER_OUTCOME = 55
 GROVER_STDOUT_BYTES_PER_OUTCOME = 80
@@ -225,6 +227,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     keys = ordered[first]
+    del ordered, first  # freed before the inverse is made: at N = 2^22, ~27 MB off grover's peak
     return keys.view(values.dtype), np.searchsorted(keys, bits)
 
 
@@ -240,18 +243,28 @@ def _blocks(size: int) -> Iterator[tuple[int, int]]:
 def _rows(width: int, *columns: tuple[Sequence[str], np.ndarray]) -> None:
     """Write to stdout one row per outcome k of the columns: `  {bits of k}`,
     then texts[inverse[k]] of each (texts, inverse) column, then a newline.
-    Each block of rows is one join over an interleaved list, with no per-row
-    format, so only a block's labels and text are ever held."""
-    step = 2 + len(columns)
-    columns = [(np.array(texts, dtype=object), inverse) for texts, inverse in columns]
-    for start, stop in _blocks(len(columns[0][1])):
-        parts = ["\n  "] * (step * (stop - start))
-        parts[0] = "  "
-        parts[1::step] = bitstrings(width, np.arange(start, stop))
-        for at, (texts, inverse) in enumerate(columns, start=2):
-            parts[at::step] = texts[inverse[start:stop]].tolist()
-        parts.append("\n")
-        sys.stdout.write("".join(parts))
+    Each block of rows is one (K, W) byte table, each column's part taken by
+    the block's inverse from a NUL-padded byte row per text; one mask drops
+    the NULs and one decode makes the block's text, so no text is made per
+    row and only a block's table is ever held."""
+    tables = []
+    for texts, inverse in columns:
+        longest = max(map(len, texts), default=0)
+        padded = "".join(t.ljust(longest, "\0") for t in texts).encode("ascii")
+        tables.append((np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), longest), inverse))
+    size = len(columns[0][1])
+    table = np.full((min(size, _BLOCK_ROWS), 2 + width + sum(t.shape[1] for t, _ in tables) + 1),
+                    ord(" "), dtype=np.uint8)
+    table[:, -1] = ord("\n")
+    for start, stop in _blocks(size):
+        rows = table[:stop - start]
+        _bit_digits(np.arange(start, stop), width, rows[:, 2:2 + width])
+        at = 2 + width
+        for texts, inverse in tables:
+            rows[:, at:at + texts.shape[1]] = texts.take(inverse[start:stop], axis=0)
+            at += texts.shape[1]
+        flat = rows.ravel()
+        sys.stdout.write(str(flat[flat != 0], "ascii"))
 
 
 #: The digits of 0..9999, four ASCII bytes each, zero-padded: every
@@ -572,12 +585,14 @@ def render_run_report(report: RunReport, sampled: tuple[np.ndarray, np.ndarray])
     print(f"shots: {report.counts.shots} (seed {report.seed}), empirical marked "
           f"frequency={q.success_probability:.6f}")
     print("outcome     sampled      ideal")
-    # the sampled and ideal columns hold few distinct values, each formatted once
-    columns = [(list(map("  {:9.6f}".format, keys.tolist())), inverse)
-               for keys, inverse in (sampled, _distinct(report.ideal.probabilities))]
-    star = np.zeros(report.N, dtype=np.uint8)  # 1 at each marked outcome
-    star[report.marked] = 1
-    _rows(n_bits, *columns, (["", " *"], star))
+    # the sampled and ideal columns hold few distinct values, each formatted
+    # once; the ideal column carries the ` *` marker, so an outcome's index
+    # among its texts is twice its value's, plus one where it is marked
+    values, ranks = _distinct(report.ideal.probabilities)
+    ranks *= 2
+    ranks[report.marked] += 1
+    _rows(n_bits, (list(map("  {:9.6f}".format, sampled[0].tolist())), sampled[1]),
+          ([f"  {p:9.6f}{star}" for p in values.tolist() for star in ("", " *")], ranks))
     print(f"sampled vs ideal: tv={q.tv_distance:.6f} fidelity_tv={q.fidelity_tv:.6f} "
           f"hellinger={q.hellinger:.6f} fidelity_h={q.fidelity_h:.6f}")
     sel_text = "inf" if q.selectivity == math.inf else f"{q.selectivity:.4f}"

@@ -212,7 +212,13 @@ def _index(m: object) -> int:
 
 def _marked_array(N: int, marked: Iterable[int]) -> np.ndarray:
     """The distinct marked indices, sorted: a non-empty set in 0..N-1.
-    One sort, then the first entry of each run of equal ones."""
+    A 1-D intp array that already is one, such as the walk's index, is
+    returned as it is, found by one neighbour comparison; anything else
+    takes one sort, then the first entry of each run of equal ones."""
+    if (isinstance(marked, np.ndarray) and marked.dtype == np.intp and marked.ndim == 1
+            and marked.size and 0 <= marked[0] and marked[-1] < N
+            and (marked[1:] > marked[:-1]).all()):
+        return marked
     out_of_range = f"marked indices must lie in 0..{N - 1}"
     try:
         if isinstance(marked, np.ndarray) and marked.dtype.kind in "iu":

@@ -84,14 +84,6 @@ MOVED = {
     },
     "TestGrover": {
         "test_bad_iters_usage_error": ["grover-iters-negative", "grover-iters-word"],
-        "test_bad_noise_or_shots_is_usage_error": {
-            "flags0---noise must lie in [0, 1]": "grover-noise-1.5",
-            "flags1---shots must be positive": "grover-shots-0",
-            "flags2---shots must be below 2^63": "grover-shots-1e20",
-            "flags3---seed must be nonnegative": "grover-seed-negative"},
-        "test_demo_output_is_golden": {
-            "flags0-grover_demo7_seed5.txt": "grover-demo7-seed5",
-            "flags1-grover_demo7_noise0.3_seed3.txt": "grover-demo7-noise"},
     },
     "TestInvalidDocument": {
         "test_text_that_is_no_document_is_one_line_data_error": {
@@ -617,7 +609,9 @@ def test_solve_and_search_never_assemble_points(demo_path, monkeypatch, capsys):
 @given(report_columns())
 @example((2, [1], [0.0, -0.0, 0.5, -0.0], [1, 1, 1, 1]))
 @example((2, [0, 3], [-0.0, 0.0, 0.0, 1.0], [3, 0, 0, 3]))
+@example((3, [1, 3, 5, 7], [0.5, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0], [0, 1, 2, 3, 0, 1, 2, 3]))
 def test_report_rows_equal_per_row_formatting(columns):
+    # in blocks of 1, 2 and 3 rows, each block holds only some of the distinct values
     width, marked, sampled, weights = columns
     N = 1 << width
     inst = demo7_instance()[0]
@@ -631,11 +625,14 @@ def test_report_rows_equal_per_row_formatting(columns):
     expected = ["  {}  {:9.6f}  {:9.6f}{}".format(labels[k], freqs[k], ideal[k],
                                                   " *" if k in marked else "")
                 for k in range(N)]
-    lines = written(render_run_report, report, _distinct(freqs)).split("\n")
-    assert lines[2] == "marked candidates: " + ", ".join(f"{labels[m]}({m})" for m in marked)
-    head = lines.index("outcome     sampled      ideal") + 1
-    assert lines[head:head + N] == expected
-    assert lines[head + N].startswith("sampled vs ideal: ")
+    for rows in (1, 2, 3, cli._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", rows)
+            lines = written(render_run_report, report, _distinct(freqs)).split("\n")
+        assert lines[2] == "marked candidates: " + ", ".join(f"{labels[m]}({m})" for m in marked)
+        head = lines.index("outcome     sampled      ideal") + 1
+        assert lines[head:head + N] == expected
+        assert lines[head + N].startswith("sampled vs ideal: ")
 
 
 class _HashingSink:
@@ -719,7 +716,8 @@ def test_solve_holds_no_n_row_text(tmp_path, capsys):
 def test_block_size_does_not_change_the_bytes(rows, tmp_path, monkeypatch, capsys):
     # 512 solutions and 512 outcomes, and a marked line of 64 candidates,
     # written in blocks of 1, 2 and 3 rows, the last block short: the bytes
-    # of one block of 2^16 rows
+    # of one block of 2^16 rows; with noise the sampled column holds many
+    # distinct values
     clique, chain, svg = tmp_path / "c12.json", tmp_path / "g12.json", tmp_path / "hist.svg"
     sparse = tmp_path / "s12.json"
     for path, p in [(clique, "0"), (chain, "0.5"), (sparse, "0.05")]:
@@ -731,6 +729,7 @@ def test_block_size_does_not_change_the_bytes(rows, tmp_path, monkeypatch, capsy
         out = []
         for argv in (["solve", str(clique), "--mode", "all"],
                      ["grover", str(chain), "--seed", "5", "--svg", str(svg)],
+                     ["grover", str(chain), "--noise", "0.3", "--seed", "3"],
                      ["grover", str(sparse)]):
             assert main(argv) == EXIT_OK
             out.append(capsys.readouterr().out)

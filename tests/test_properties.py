@@ -588,11 +588,14 @@ def test_grover_distribution_rejects_what_grover_state_rejects(N, marked, iters,
 @st.composite
 def marked_inputs(draw):
     """(N, a marked set as an int64 or a uint64 array or a list, unsorted and
-    with repeats, sometimes empty or reaching past 0..N-1)."""
+    with repeats, or as an ascending intp array of distinct entries;
+    sometimes empty or reaching past 0..N-1)."""
     N = 1 << draw(st.integers(1, 10))
-    form = draw(st.sampled_from(["int64", "uint64", "list"]))
+    form = draw(st.sampled_from(["int64", "uint64", "list", "ascending"]))
     low = 0 if form == "uint64" else -2
     values = draw(st.lists(st.integers(low, N + 1) | st.sampled_from([0, N - 1]), max_size=40))
+    if form == "ascending":
+        return N, np.array(sorted(set(values)), dtype=np.intp)
     return N, values if form == "list" else np.array(values, dtype=form)
 
 
@@ -602,6 +605,10 @@ def marked_inputs(draw):
 @example((8, np.array([], dtype=np.uint64)))
 @example((8, np.array([7, 0, 7, 3, 0], dtype=np.uint64)))
 @example((8, [8, 8, 1]))
+@example((8, np.array([0, 3, 7], dtype=np.intp)))
+@example((8, np.array([0, 3, 8], dtype=np.intp)))
+@example((8, np.array([-1, 3], dtype=np.intp)))
+@example((8, np.array([3, 3, 5], dtype=np.intp)))
 def test_marked_array_equals_np_unique(case):
     # one sort and a first-of-run mask give np.unique's array, and the
     # caller's array is left as it was
@@ -622,3 +629,12 @@ def test_marked_array_equals_np_unique(case):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _marked_array(N, marked)
     np.testing.assert_array_equal(np.asarray(marked), given_copy)
+
+
+def test_marked_array_keeps_the_walks_index():
+    # the walk's index is ascending, distinct and inside 0..N-1, so the
+    # three calls of a grover run take it as it is, with no sorted copy
+    inst = generate(12, 1, 0.05)[0]
+    index = branch_and_prune(inst, extract_internal(inst)).index
+    assert index.size == 64
+    assert _marked_array(1 << (inst.n - 3), index) is index
