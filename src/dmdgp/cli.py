@@ -57,19 +57,9 @@ DEFAULT_SHOTS = 8196
 #: empty edge list over n vertices breaks n - 3 cliques.
 VIOLATIONS_SHOWN = 10
 
-#: `grover` holds several N-length arrays, prints two N-row tables and runs
-#: no scan, so its one size limit is 2^22 outcomes (n <= 25).  Its message
-#: estimates the run from per-outcome costs measured at that limit with a few
-#: marked: 55 B of peak RSS per outcome, in a fresh process whose stdout goes
-#: to /dev/null (221 MB when the tables were joined text), and 79 B of
-#: stdout.  With the tables written as byte-table blocks the run peaks at
-#: 193-195 MB, ~49 B per outcome, while the report ranks its ideal column
-#: (66-67 MB at n = 22).  The largest marked set, M = 2^21, peaks at
-#: ~259 MB, ~65 B per outcome (498 MB with the marked line built whole).
-#: `--svg`'s text, made a block at a time too, peaked at 221 MB.
+#: `grover` holds several N-length arrays and prints two N-row tables, so it
+#: stops at 2^22 outcomes (n <= 25).
 GROVER_MAX_OUTCOMES = 1 << 22
-GROVER_BYTES_PER_OUTCOME = 55
-GROVER_STDOUT_BYTES_PER_OUTCOME = 80
 
 #: `solve --mode all` keeps an index and a penalty per solution and writes
 #: its table in blocks, so it stops at a predicted 2^22 solutions, as `grover`
@@ -529,13 +519,8 @@ def run_search(inst: DmdgpInstance, internal: geometry.InternalCoords, iters: in
     """
     N = 1 << (inst.n - 3)
     if N > GROVER_MAX_OUTCOMES:
-        # MB rounded in integers: from n = 1021 on, N * 80 overflows a float
-        memory, stdout = (decimal_text((N * b + 500_000) // 10**6)
-                          for b in (GROVER_BYTES_PER_OUTCOME, GROVER_STDOUT_BYTES_PER_OUTCOME))
-        raise CliError(
-            EXIT_DATA,
-            f"search space {decimal_text(N)} exceeds grover's limit of {GROVER_MAX_OUTCOMES} "
-            f"outcomes (~{memory} MB of memory and ~{stdout} MB of stdout)")
+        raise CliError(EXIT_DATA, f"search space {decimal_text(N)} exceeds grover's limit of "
+                                  f"{GROVER_MAX_OUTCOMES} outcomes")
     index = bp.branch_and_prune(inst, internal).index
     if index.size == N:
         raise CliError(EXIT_DATA, f"oracle marks all {N} candidates: nothing to amplify")
@@ -617,14 +602,15 @@ def cmd_grover(args: argparse.Namespace) -> int:
         print("oracle marks no candidate (inconsistent instance)")
         return EXIT_NO_SOLUTION
     freqs = report.counts.frequencies()
-    sampled = _distinct(freqs)  # ranked once, for the table and the histogram
-    render_run_report(report, sampled)
-    if args.svg:
+    if args.svg:  # first, so a path it cannot write prints no report
         _write_text(args.svg, histogram_svg(
             report.n - 3,
             [("sampled", freqs), ("ideal", report.ideal.probabilities)],
             f"search outcomes, N={report.N}, k={report.iters}",
         ))
+    sampled = _distinct(freqs)  # ranked once, for the table and the histogram
+    render_run_report(report, sampled)
+    if args.svg:
         print(f"wrote histogram to {args.svg}")
     else:
         histogram_text(report.n - 3, sampled)
