@@ -7,18 +7,18 @@ Subcommands:
     metrics      compare two distribution CSV files
     oracle-scan  tabulate penalty, normalized value, and oracle bit per candidate
 
-Exit codes: 0 success, 1 no solution, 2 I/O error, 64 usage error (also gen
-over MAX_VERTICES, grover's --seed below 0, --shots from 2^63 or --iters over
-GROVER_MAX_ITERS, a metrics --marked set that is empty, outside 0..N-1 or
-every outcome, in the library's words, oracle-scan --delta so small that
-delta / p1 underflows to 0), 65 data format error (also text not UTF-8,
-nested too deeply or with an integer over Python's digit limit, a weight
-beyond the doubles) or an instance outside supported limits (oracle-scan's
-search space over the scan cap, grover's over GROVER_MAX_OUTCOMES, solve --mode
-all predicting over SOLVE_MAX_ROWS solutions, every candidate marked, distances
-no chain realizes).  The solve limit reads the predicted count 2^|S|, so a
-non-generic instance, one with more than 2^|S| solutions, is not caught before
-the walk.
+Exit codes: 0 success, 1 no solution, 2 I/O error (also a closed stdout, caught
+by console_main), 64 usage error (also gen over MAX_VERTICES, grover's
+--seed below 0, --shots from 2^63 or --iters over GROVER_MAX_ITERS, a metrics
+--marked set that is empty, outside 0..N-1 or every outcome, in the library's
+words, oracle-scan --delta so small that delta / p1 underflows to 0), 65 data
+format error (also text not UTF-8, nested too deeply or with an integer over
+Python's digit limit, a weight beyond the doubles) or an instance outside
+supported limits (oracle-scan's search space over the scan cap, grover's over
+GROVER_MAX_OUTCOMES, solve --mode all predicting over SOLVE_MAX_ROWS solutions,
+every candidate marked, distances no chain realizes).  The solve limit reads
+the predicted count 2^|S|, so a non-generic instance, one with more than 2^|S|
+solutions, is not caught before the walk.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,21 +364,21 @@ def histogram_text(width: int, ranked: tuple[np.ndarray, np.ndarray]) -> None:
     _rows(width, (tails, inverse))
 
 
-def histogram_svg(n_bits: int, series: Sequence[tuple[str, np.ndarray]],
+def histogram_svg(n_bits: int, sampled: np.ndarray, ideal: np.ndarray,
                   title: str) -> Iterator[str]:
-    """Standalone grouped-bar SVG over the 2^n_bits outcomes, no plotting
-    dependency, as text blocks: the header, the bar groups of each block of
-    outcomes, labelled by their bits, then the legend."""
+    """Standalone grouped-bar SVG of the sampled and ideal distributions over
+    the 2^n_bits outcomes, no plotting dependency, as text blocks: the header,
+    the bar pair and bits label of each block of outcomes, then the legend."""
     width, height = 640, 360
     margin_l, margin_r, margin_t, margin_b = 50, 20, 40, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     n = 1 << n_bits
-    peak = max(float(vals.max()) for _, vals in series)
+    peak = max(float(sampled.max()), float(ideal.max()))
     peak = peak if peak > 0 else 1.0
-    colors = ["#4878a8", "#d08830", "#609060", "#a05858"]
+    colors = {"sampled": "#4878a8", "ideal": "#d08830"}
     group_w = plot_w / n
-    bar_w = group_w * 0.8 / len(series)
+    bar_w = group_w * 0.8 / 2
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -398,35 +399,25 @@ def histogram_svg(n_bits: int, series: Sequence[tuple[str, np.ndarray]],
         )
     yield "\n".join(parts) + "\n"
 
-    def group(gi: int, label: str, values: tuple[float, ...]) -> str:
-        """The lines of outcome gi: a bar per series, then its label."""
-        x0 = margin_l + gi * group_w + group_w * 0.1
-        lines = []
-        for si, v in enumerate(values):
-            h = plot_h * v / peak
-            lines.append(
-                f'<rect x="{x0 + si * bar_w:.1f}" y="{margin_t + plot_h - h:.1f}" '
-                f'width="{bar_w:.1f}" height="{h:.1f}" fill="{colors[si % len(colors)]}"/>\n'
-            )
-        lines.append(
-            f'<text x="{margin_l + (gi + 0.5) * group_w:.1f}" y="{height - margin_b + 16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{label}</text>\n'
-        )
-        return "".join(lines)
-
+    row = "".join(
+        f'<rect x="%.1f" y="%.1f" width="{bar_w:.1f}" height="%.1f" fill="{color}"/>\n'
+        for color in colors.values()
+    ) + (f'<text x="%.1f" y="{height - margin_b + 16}" text-anchor="middle" '
+         f'font-family="sans-serif" font-size="11">%s</text>\n')
     for start, stop in _blocks(n):
-        # the join drops its list of groups before the block is written
-        values = zip(*(vals[start:stop].tolist() for _, vals in series))
+        # Python's operations in Python's order: the digits of a float per outcome
         k = np.arange(start, stop)
-        yield "".join(map(group, k.tolist(), bitstrings(n_bits, k), values))
+        x = margin_l + k * group_w + group_w * 0.1
+        h_sampled = plot_h * sampled[start:stop] / peak
+        h_ideal = plot_h * ideal[start:stop] / peak
+        yield "".join(map(row.__mod__, zip(
+            x, margin_t + plot_h - h_sampled, h_sampled,
+            x + bar_w, margin_t + plot_h - h_ideal, h_ideal,
+            margin_l + (k + 0.5) * group_w, bitstrings(n_bits, k))))
     parts = []
-    for si, (name, _) in enumerate(series):
-        x = margin_l + 10 + si * 140
-        y = height - 14
-        parts.append(
-            f'<rect x="{x}" y="{y - 10}" width="12" height="12" '
-            f'fill="{colors[si % len(colors)]}"/>'
-        )
+    for si, (name, color) in enumerate(colors.items()):
+        x, y = margin_l + 10 + si * 140, height - 14
+        parts.append(f'<rect x="{x}" y="{y - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(
             f'<text x="{x + 18}" y="{y}" font-family="sans-serif" font-size="11">{name}</text>'
         )
@@ -604,8 +595,7 @@ def cmd_grover(args: argparse.Namespace) -> int:
     freqs = report.counts.frequencies()
     if args.svg:  # first, so a path it cannot write prints no report
         _write_text(args.svg, histogram_svg(
-            report.n - 3,
-            [("sampled", freqs), ("ideal", report.ideal.probabilities)],
+            report.n - 3, freqs, report.ideal.probabilities,
             f"search outcomes, N={report.N}, k={report.iters}",
         ))
     sampled = _distinct(freqs)  # ranked once, for the table and the histogram
@@ -755,7 +745,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: fd 1 goes to /dev/null, so the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"dmdgp: error: cannot write stdout: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

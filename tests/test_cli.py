@@ -39,6 +39,7 @@ from dmdgp.cli import (
     _distinct,
     _parse_iters,
     _sci3,
+    histogram_svg,
     histogram_text,
     load_distribution_csv,
     main,
@@ -103,16 +104,6 @@ MOVED = {
             "abc-bad marked outcome 'abc'": "metrics-marked-abc"},
         "test_distributions_of_different_sizes_are_data_error": "metrics-sizes-differ",
         "test_malformed_csv_is_data_error": "metrics-bad-row",
-    },
-    "TestOracleScan": {
-        "test_hypothesis_violation_is_usage_error": "oracle-scan-delta-epsilon-sum",
-        "test_bad_threshold_is_usage_error": {
-            f"flags{k}-{contract.ROW[row].err[0]}": row for k, row in enumerate([
-                "oracle-scan-delta-nan", "oracle-scan-epsilon-1e-17",
-                "oracle-scan-delta-1e-320"])},
-        "test_demo_output_is_pinned": {
-            f"flags{k}-{contract.ROW[row].out}": row
-            for k, row in enumerate(["oracle-scan-demo7", "oracle-scan-demo7-thresholds"])},
     },
 }
 
@@ -585,6 +576,73 @@ def test_histogram_text_writes_blocks_of_rows(monkeypatch):
     assert text == reference_histogram(labels, values)
 
 
+def reference_svg_groups(n_bits, sampled, ideal):
+    """histogram_svg's bar groups as one closure per outcome formatted them."""
+    height, margin_l, margin_t, margin_b = 360, 50, 40, 50
+    plot_h = height - margin_t - margin_b
+    group_w = (640 - margin_l - 20) / (1 << n_bits)
+    peak = max(float(sampled.max()), float(ideal.max()))
+    peak = peak if peak > 0 else 1.0
+    colors = ["#4878a8", "#d08830"]
+    bar_w = group_w * 0.8 / 2
+
+    def group(gi, values):
+        x0 = margin_l + gi * group_w + group_w * 0.1
+        lines = []
+        for si, v in enumerate(values):
+            h = plot_h * v / peak
+            lines.append(
+                f'<rect x="{x0 + si * bar_w:.1f}" y="{margin_t + plot_h - h:.1f}" '
+                f'width="{bar_w:.1f}" height="{h:.1f}" fill="{colors[si]}"/>\n'
+            )
+        lines.append(
+            f'<text x="{margin_l + (gi + 0.5) * group_w:.1f}" y="{height - margin_b + 16}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
+            f'{int_to_bits(gi, n_bits)}</text>\n'
+        )
+        return "".join(lines)
+
+    return "".join(map(group, range(1 << n_bits), zip(sampled.tolist(), ideal.tolist())))
+
+
+#: A peak of 270 / 256 scales j / 1024 to a bar height of exactly j / 4 px
+#: (plot height 270), so an odd j puts the height and the bar's top on a
+#: .x5 rounding tie
+SVG_PEAK = 270 / 256
+
+
+@st.composite
+def svg_columns(draw):
+    """(n_bits, sampled, ideal) for histogram_svg: zeros, tie heights, the
+    tie peak, any value up to 1, and at times a column of zeros only."""
+    n_bits = draw(st.integers(1, 5))
+    N = 1 << n_bits
+    value = (st.sampled_from([0.0, SVG_PEAK]) | st.integers(0, 1080).map(lambda j: j / 1024)
+             | st.floats(0.0, 1.0))
+    column = st.just([0.0] * N) | st.lists(value, min_size=N, max_size=N)
+    return n_bits, draw(column), draw(column)
+
+
+@settings(max_examples=100, deadline=None)
+@given(svg_columns())
+@example((2, [0.0, SVG_PEAK, 1 / 1024, 3 / 1024], [SVG_PEAK, 0.0, 5 / 1024, 7 / 1024]))
+@example((3, [0.0] * 8, [0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25]))
+@example((1, [0.0, 0.0], [0.0, 0.0]))
+def test_histogram_svg_groups_equal_per_outcome_formatting(columns):
+    # in blocks of 1, 2 and 3 outcomes, the last block short, and in one block
+    n_bits, sampled, ideal = columns
+    N = 1 << n_bits
+    sampled, ideal = np.array(sampled), np.array(ideal)
+    expected = reference_svg_groups(n_bits, sampled, ideal)
+    for rows in (1, 2, 3, cli._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", rows)
+            blocks = list(histogram_svg(n_bits, sampled, ideal, "title"))
+        assert [block.count("<text ") for block in blocks[1:-1]] == [
+            min(rows, N - start) for start in range(0, N, rows)]
+        assert "".join(blocks[1:-1]) == expected
+
+
 @st.composite
 def report_columns(draw):
     """(width, marked, sampled column, ideal weights) for a 2^width-row table."""
@@ -799,7 +857,6 @@ class TestMetrics:
         assert "tv_distance,0.14" in out
 
 
-@with_moved_tests
 class TestOracleScan:
     def test_demo_scan(self, demo_path, capsys):
         assert main(["oracle-scan", demo_path]) == EXIT_OK

@@ -444,6 +444,37 @@ def test_child_process(row, child_results):
 
 
 # ---------------------------------------------------------------------------
+# A closed stdout
+
+
+@pytest.fixture(scope="module")
+def closed_stdout_docs(tmp_path_factory):
+    """demo7, a few hundred bytes of output, and `gen --n 20 --seed 1`, megabytes of it."""
+    path = tmp_path_factory.mktemp("closed-stdout") / "g20.json"
+    code, _, err = run_in_process(["gen", "--n", "20", "--seed", "1", "--out", str(path)])
+    assert code == OK, err
+    return {"demo7": str(data_file("demo7.json")), "g20": str(path)}
+
+
+@pytest.mark.parametrize("doc", ["demo7", "g20"])
+@pytest.mark.parametrize("command", ["solve", "grover", "oracle-scan"])
+def test_closed_stdout_is_one_io_error_line(command, doc, closed_stdout_docs):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dmdgp.cli", command, closed_stdout_docs[doc]],
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == IO, proc.stderr
+    assert proc.stderr.decode().splitlines() == [
+        "dmdgp: error: cannot write stdout: [Errno 32] Broken pipe"]
+
+
+# ---------------------------------------------------------------------------
 # Mutated documents
 
 
